@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--rotate-max", type=float)
     p.add_argument("--early-stop", type=float,
-                   help="stop once in-epoch train accuracy reaches this value")
+                   help="stop after the first epoch whose in-epoch train accuracy and "
+                        "eval-mode accuracy on the training set both reach this value")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a dataset with a trained checkpoint")

@@ -45,19 +45,21 @@ class BatchNorm:
 
 def batch_normalize(x: Tensor, norm: BatchNorm, train: bool) -> Tensor:
     """Train mode: batch statistics (and a running-moment update). Eval mode:
-    a pure affine map from the saved moments."""
+    a pure affine map from the saved moments.
+
+    In train mode the batch moments are computed once and shared by the
+    running-moment update and the normalization op.
+    """
     if x.shape[1] != norm.gamma.shape[0]:
         raise ValueError(f"batch_normalize: {x.shape[1]} channels vs "
                          f"{norm.gamma.shape[0]} norm parameters")
     if train:
         if x.shape[0] == 0:
             raise ValueError("batch_normalize: empty batch")
-        axes = tuple(i for i in range(x.ndim) if i != 1)
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu, var = T.channel_moments(x.data)
         norm.running_mean += norm.momentum * (mu - norm.running_mean)
         norm.running_var += norm.momentum * (var - norm.running_var)
-        return T.batch_norm_train(x, norm.gamma, norm.beta, eps=norm.eps)
+        return T.batch_norm_train(x, norm.gamma, norm.beta, eps=norm.eps, moments=(mu, var))
     scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
     shift = norm.beta.data - norm.running_mean * scale
     return T.channel_affine(x, Tensor(scale.astype(x.dtype)), Tensor(shift.astype(x.dtype)))

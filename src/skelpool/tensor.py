@@ -142,9 +142,10 @@ _ACTIVE_TAPE: Tape | None = None
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    # One-pass check: the sum is non-finite iff some element is (magnitudes
-    # here are far from overflow, so finite elements cannot overflow the sum).
-    if not math.isfinite(float(arr.sum())):
+    # One-pass check: a finite sum means every element is finite. A non-finite
+    # sum can also come from large finite elements overflowing the sum, so it
+    # is confirmed element-wise before raising.
+    if not math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
         raise NonFiniteError(op)
 
 
@@ -336,31 +337,39 @@ def tmean(x: Tensor, axes=None) -> Tensor:
 # linear algebra
 
 
+def _shared_rhs_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    # one GEMM over all rows of `ad`, flattened to (rows, inner)
+    return (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+
+
+def _shared_rhs_matmul_grads(g, ins, out):
+    ad, bd = ins
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ bd.T).reshape(ad.shape), ad.reshape(-1, ad.shape[-1]).T @ g2
+
+
+def _batched_matmul_grads(g, ins, out):
+    ad, bd = ins
+    return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
+            _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batch axes broadcast numpy-style."""
+    """Matrix product over the last two axes, batch axes broadcast numpy-style.
+
+    A shared 2-D right operand (an adjacency, assignment or classifier matrix)
+    is applied as one GEMM over the rows of `a` flattened to (rows, inner), in
+    the forward and in both gradients, rather than one small GEMM per batch
+    entry. A non-contiguous `a` is copied by that flattening.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires rank >= 2 operands")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner extents differ {a.shape} @ {b.shape}")
     _same_dtype(a, b)
-
-    def bwd(g, ins, out):
-        ad, bd = ins
-        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-        if bd.ndim == 2 and ad.ndim > 2:
-            # shared right operand: contract all batch axes in one pass
-            axes = tuple(range(ad.ndim - 1))
-            gb = np.tensordot(ad, g, axes=(axes, axes))
-        else:
-            gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
-        return ga, gb
-
-    return _apply("matmul", (a, b), np.matmul, bwd)
-
-
-def _channel_map(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    # contract the channel axis through BLAS: (b,c,t,n) x (c,o) -> (b,o,t,n)
-    return np.ascontiguousarray(np.moveaxis(np.tensordot(xd, wd, axes=([1], [0])), 3, 1))
+    if b.ndim == 2:
+        return _apply("matmul", (a, b), _shared_rhs_matmul, _shared_rhs_matmul_grads)
+    return _apply("matmul", (a, b), np.matmul, _batched_matmul_grads)
 
 
 def conv1x1(x: Tensor, w: Tensor) -> Tensor:
@@ -368,18 +377,31 @@ def conv1x1(x: Tensor, w: Tensor) -> Tensor:
 
     `w` has shape (channels_in, channels_out); equivalent to a 1x1 2-D
     convolution over the frame/node grid.
+
+    Layout: the frame/node grid is flattened without a copy, so each batch
+    entry is one (channels_out, channels_in) x (channels_in, frames*nodes)
+    GEMM, and the batch is issued as a single `np.matmul` whose output is
+    already in (batch, channels_out, frames, nodes) order. The input gradient
+    mirrors it with `w`; the weight gradient is a batched (channels_in,
+    frames*nodes) x (frames*nodes, channels_out) product summed over the batch.
     """
     if x.ndim != 4 or w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise ValueError(f"conv1x1: weight {w.shape} does not match input {x.shape}")
     _same_dtype(x, w)
 
+    def fwd(xd, wd):
+        b, c, t, n = xd.shape
+        return np.matmul(wd.T, xd.reshape(b, c, t * n)).reshape(b, -1, t, n)
+
     def bwd(g, ins, out):
         xd, wd = ins
-        gx = _channel_map(g, wd.T)
-        gw = np.tensordot(xd, g, axes=([0, 2, 3], [0, 2, 3]))
+        b, c, t, n = xd.shape
+        g3 = g.reshape(b, -1, t * n)
+        gx = np.matmul(wd, g3).reshape(xd.shape)
+        gw = np.matmul(xd.reshape(b, c, t * n), g3.swapaxes(1, 2)).sum(axis=0)
         return gx, gw
 
-    return _apply("conv1x1", (x, w), _channel_map, bwd)
+    return _apply("conv1x1", (x, w), fwd, bwd)
 
 
 def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
@@ -387,6 +409,15 @@ def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     `w` has shape (channels_out, channels_in, k) with k odd; symmetric zero
     padding of (k-1)/2 keeps ceil(frames/stride) output frames.
+
+    Layout: the input is copied once into a zero-padded frames-major buffer
+    (channels_in, frames + 2*pad, batch, nodes). Tap i reads the frames
+    i, i + stride, ... of that buffer as one (channels_in, out_frames*batch*
+    nodes) matrix: a view for stride 1, a copy of the sliced frames otherwise.
+    The output is k 2-D GEMMs accumulated in frames-major order and
+    transposed back once. The backward mirrors this: the weight gradient of
+    tap i is one GEMM against the tap's matrix, and the input gradient is
+    accumulated tap by tap into a frames-major buffer.
     """
     if x.ndim != 4 or w.ndim != 3:
         raise ValueError("temporal_conv: expects 4-D input and 3-D weights")
@@ -401,27 +432,42 @@ def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     pad = (k - 1) // 2
     t_in = x.shape[2]
     t_out = (t_in + 2 * pad - k) // stride + 1
+    taps = [slice(i, i + stride * (t_out - 1) + 1, stride) for i in range(k)]
+
+    def frames_major(xd):
+        b, _, t, n = xd.shape
+        xp = np.zeros((c_in, t + 2 * pad, b, n), dtype=xd.dtype)
+        xp[:, pad : pad + t] = xd.transpose(1, 2, 0, 3)
+        return xp
 
     def fwd(xd, wd):
-        xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (0, 0)))
-        s0, s1, s2, s3 = xp.strides
-        windows = np.lib.stride_tricks.as_strided(
-            xp, shape=(xd.shape[0], c_in, t_out, k, xd.shape[3]),
-            strides=(s0, s1, s2 * stride, s2, s3), writeable=False)
-        out = np.tensordot(windows, wd, axes=([1, 3], [1, 2]))  # -> (b, t, n, o)
-        return np.ascontiguousarray(np.moveaxis(out, 3, 1))
+        b, n = xd.shape[0], xd.shape[3]
+        xp = frames_major(xd)
+        wt = np.ascontiguousarray(wd.transpose(2, 0, 1))  # (k, c_out, c_in)
+        out = wt[0] @ xp[:, taps[0]].reshape(c_in, -1)
+        part = np.empty_like(out)
+        for i in range(1, k):
+            out += np.matmul(wt[i], xp[:, taps[i]].reshape(c_in, -1), out=part)
+        del xp, part  # free before the transposing copy
+        return np.ascontiguousarray(out.reshape(c_out, t_out, b, n).transpose(2, 0, 1, 3))
 
     def bwd(g, ins, out):
         xd, wd = ins
-        xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (0, 0)))
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
+        b, n = xd.shape[0], xd.shape[3]
+        gf = np.ascontiguousarray(g.transpose(1, 2, 0, 3)).reshape(c_out, -1)
+        xp = frames_major(xd)
+        gw = np.empty((k, c_out, c_in), dtype=wd.dtype)
         for i in range(k):
-            sl = slice(i, i + stride * (t_out - 1) + 1, stride)
-            gxp[:, :, sl, :] += _channel_map(g, wd[:, :, i])
-            gw[:, :, i] = np.tensordot(g, xp[:, :, sl, :], axes=([0, 2, 3], [0, 2, 3]))
-        gx = gxp[:, :, pad : pad + t_in, :] if pad else gxp
-        return np.ascontiguousarray(gx), gw
+            np.matmul(gf, xp[:, taps[i]].reshape(c_in, -1).T, out=gw[i])
+        del xp  # buffers are freed as soon as they are used up, to keep the peak low
+        wt = np.ascontiguousarray(wd.transpose(2, 1, 0))  # (k, c_in, c_out)
+        gxp = np.zeros((c_in, t_in + 2 * pad, b, n), dtype=xd.dtype)
+        part = np.empty((c_in, gf.shape[1]), dtype=gf.dtype)
+        for i in range(k):
+            gxp[:, taps[i]] += np.matmul(wt[i], gf, out=part).reshape(c_in, t_out, b, n)
+        del gf, part
+        gx = np.ascontiguousarray(gxp[:, pad : pad + t_in].transpose(2, 0, 1, 3))
+        return gx, np.ascontiguousarray(gw.transpose(1, 2, 0))
 
     return _apply("temporal_conv", (x, w), fwd, bwd)
 
@@ -490,8 +536,33 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 # fused training ops
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize per channel with batch statistics over all non-channel axes."""
+def channel_moments(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and biased variance over every axis except axis 1.
+
+    Both sums run through BLAS as one matrix-vector product per batch entry,
+    over the input viewed as (batch, channels, rest).
+    """
+    b, c = xd.shape[:2]
+    x3 = xd.reshape(b, c, -1)
+    ones = np.ones(x3.shape[2], dtype=xd.dtype)
+    count = b * x3.shape[2]
+    mu = (x3 @ ones).sum(axis=0) / count
+    dev = x3 - mu[:, None]
+    np.multiply(dev, dev, out=dev)
+    return mu, (dev @ ones).sum(axis=0) / count
+
+
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+                     moments: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Normalize per channel with batch statistics over all non-channel axes.
+
+    `moments`, when given, is the (mean, variance) pair of `x` from
+    `channel_moments`, so a caller that also needs the statistics (the
+    running-moment update) computes them once. The op keeps only the mean and
+    the inverse standard deviation; the backward recomputes the normalized
+    input from them rather than holding an activation-sized copy. Replaying the
+    recorded entry on its recorded inputs reuses those moments, bit for bit.
+    """
     if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError("batch_norm_train: parameter shapes must match the channel axis")
     if x.size == 0 or x.shape[0] == 0:
@@ -500,24 +571,27 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     axes = tuple(i for i in range(x.ndim) if i != 1)
     expand_shape = (1, -1) + (1,) * (x.ndim - 2)
     m = x.size // x.shape[1]
+    mu, var = channel_moments(x.data) if moments is None else moments
+    mu = np.asarray(mu, dtype=x.dtype).reshape(expand_shape)
+    inv_std = (1.0 / np.sqrt(np.asarray(var, dtype=x.dtype) + eps)).reshape(expand_shape)
 
     def fwd(xd, gd, bd):
-        mu = xd.mean(axis=axes, keepdims=True)
-        var = xd.var(axis=axes, keepdims=True)
-        xhat = (xd - mu) / np.sqrt(var + eps)
-        return xhat * gd.reshape(expand_shape) + bd.reshape(expand_shape)
+        out = xd - mu
+        out *= inv_std * gd.reshape(expand_shape)
+        out += bd.reshape(expand_shape)
+        return out
 
     def bwd(g, ins, out):
         xd, gd, _ = ins
-        mu = xd.mean(axis=axes, keepdims=True)
-        var = xd.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mu) * inv_std
+        xhat = xd - mu
+        xhat *= inv_std
         dbeta = g.sum(axis=axes)
         dgamma = (g * xhat).sum(axis=axes)
-        dxhat = g * gd.reshape(expand_shape)
-        dx = (dxhat - dxhat.mean(axis=axes, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)) * inv_std
+        # dx = gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), in the xhat buffer
+        xhat *= (dgamma / m).reshape(expand_shape)
+        dx = np.subtract(g, xhat, out=xhat)
+        dx -= (dbeta / m).reshape(expand_shape)
+        dx *= inv_std * gd.reshape(expand_shape)
         return dx, dgamma, dbeta
 
     return _apply("batch_norm", (x, gamma, beta), fwd, bwd)

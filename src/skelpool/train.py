@@ -164,6 +164,8 @@ def train_loop(model: Model, train_set: Dataset, config: TrainConfig,
     """Train in place; one metrics row per epoch. Deterministic given the seed.
 
     A non-finite activation anywhere aborts with an error naming the operator.
+    With `early_stop_train_acc` set, training stops after the first epoch whose
+    in-epoch accuracy and eval-mode accuracy on the training set both reach it.
     """
     config = config.validate()
     x, y, _ = to_arrays(train_set, dtype=model.dtype)
@@ -205,7 +207,10 @@ def train_loop(model: Model, train_set: Dataset, config: TrainConfig,
         metrics.append(row)
         if log is not None:
             log(row)
+        # The eval-mode check matters because eval mode normalizes with the
+        # running moments, which lag behind the in-epoch batch statistics.
         if config.early_stop_train_acc is not None \
-                and train_acc >= config.early_stop_train_acc:
+                and train_acc >= config.early_stop_train_acc \
+                and evaluate(model, x, y, config.batch_size) >= config.early_stop_train_acc:
             break
     return metrics

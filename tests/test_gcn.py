@@ -149,3 +149,29 @@ class TestGcnBlock:
         a = gcn_block(x, params, self._adj(), train=False).data
         b = gcn_block(x, params, self._adj(), train=False).data
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_running_moments_use_the_statistics_the_op_normalized_with(dtype, monkeypatch):
+    bn = BatchNorm.init(4, dtype=dtype)
+    bn.momentum = 1.0  # from zero, running moments become the batch moments
+    bn.running_var[:] = 0.0
+    x = Tensor((2.0 * np.random.default_rng(27).standard_normal((3, 4, 5, 6)) - 1.0)
+               .astype(dtype))
+    used = []
+    op = T.batch_norm_train
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["moments"])
+        return op(*args, **kwargs)
+
+    monkeypatch.setattr(T, "batch_norm_train", spy)
+    train_out = batch_normalize(x, bn, train=True).data
+    (mu, var), = used
+    assert np.array_equal(bn.running_mean, mu) and np.array_equal(bn.running_var, var)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(mu, x.data.mean(axis=(0, 2, 3)), rtol=tol, atol=tol)
+    np.testing.assert_allclose(var, x.data.var(axis=(0, 2, 3)), rtol=tol, atol=tol)
+    # eval mode from those moments reproduces the train-mode normalization
+    np.testing.assert_allclose(batch_normalize(x, bn, train=False).data, train_out,
+                               rtol=10 * tol, atol=10 * tol)

@@ -190,3 +190,130 @@ def test_tapes_do_not_nest():
         with pytest.raises(RuntimeError):
             with Tape():
                 pass
+
+
+def test_large_finite_values_are_not_reported_non_finite():
+    # the sum of these finite f32 values overflows; the check must not raise
+    x = Tensor(np.full(4, 2e38, np.float32))
+    with np.errstate(over="ignore"):
+        out = T.scale(x, 0.5)
+    assert np.array_equal(out.data, np.full(4, 1e38, np.float32))
+
+
+def test_gradient_accumulation_check_confirms_before_raising():
+    x = Tensor(np.full(4, 1e-30, np.float32))
+    w = Tensor(np.full(4, 3e38, np.float32))
+    with np.errstate(over="ignore"):
+        with Tape() as tape:
+            once = T.tsum(T.mul(x, w))
+        # finite gradient elements whose sum overflows
+        assert np.array_equal(gradients(tape, once, [x])[x].data, w.data)
+        with Tape() as tape:
+            twice = T.add(T.tsum(T.mul(x, w)), T.tsum(T.mul(x, w)))
+        # accumulating two 3e38 contributions overflows each element
+        with pytest.raises(NonFiniteError) as exc:
+            gradients(tape, twice, [x])
+    assert exc.value.op == "gradient accumulation"
+
+
+# ---------------------------------------------------------------------------
+# GEMM kernels and batch norm against plain references, forward and gradients
+
+DTYPES = [np.float32, np.float64]
+
+
+def _tol(dtype):
+    return dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
+
+
+def _fwd_and_grads(op, inputs, seed):
+    """Output of op(*inputs) and the gradients of sum(output * r) for a random r."""
+    with Tape() as tape:
+        out = op(*inputs)
+        r = Tensor(np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype))
+        loss = T.tsum(T.mul(out, r))
+    gs = gradients(tape, loss, inputs)
+    return out.data, r.data, [gs[t].data for t in inputs]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv1x1_matches_einsum(dtype):
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.standard_normal((3, 5, 4, 6)).astype(dtype))
+    w = Tensor(rng.standard_normal((5, 7)).astype(dtype))
+    out, r, (gx, gw) = _fwd_and_grads(T.conv1x1, [x, w], seed=21)
+    np.testing.assert_allclose(out, np.einsum("bctn,co->botn", x.data, w.data), **_tol(dtype))
+    np.testing.assert_allclose(gx, np.einsum("botn,co->bctn", r, w.data), **_tol(dtype))
+    np.testing.assert_allclose(gw, np.einsum("bctn,botn->co", x.data, r), **_tol(dtype))
+
+
+def _temporal_conv_loop(x, w, r, stride):
+    """Per-frame reference: output, input gradient and weight gradient."""
+    c_out, _, k = w.shape
+    pad = (k - 1) // 2
+    t_in = x.shape[2]
+    t_out = (t_in + 2 * pad - k) // stride + 1
+    out = np.zeros((x.shape[0], c_out, t_out, x.shape[3]))
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for t in range(t_out):
+        for i in range(k):
+            f = t * stride + i - pad
+            if 0 <= f < t_in:
+                out[:, :, t] += np.einsum("oc,bcn->bon", w[:, :, i], x[:, :, f])
+                gx[:, :, f] += np.einsum("oc,bon->bcn", w[:, :, i], r[:, :, t])
+                gw[:, :, i] += np.einsum("bon,bcn->oc", r[:, :, t], x[:, :, f])
+    return out, gx, gw
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k,stride,frames", [(1, 1, 6), (3, 1, 7), (5, 1, 9), (1, 2, 6),
+                                             (3, 2, 7), (5, 2, 9), (5, 1, 2), (5, 2, 3)])
+def test_temporal_conv_matches_per_frame_loop(dtype, k, stride, frames):
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((2, 3, frames, 4)).astype(dtype))
+    w = Tensor(rng.standard_normal((5, 3, k)).astype(dtype))
+    out, r, (gx, gw) = _fwd_and_grads(lambda a, b: T.temporal_conv(a, b, stride=stride),
+                                      [x, w], seed=23)
+    want, want_gx, want_gw = _temporal_conv_loop(x.data.astype(np.float64),
+                                                 w.data.astype(np.float64),
+                                                 r.astype(np.float64), stride)
+    assert out.shape == want.shape == (2, 5, -(-frames // stride), 4)
+    np.testing.assert_allclose(out, want, **_tol(dtype))
+    np.testing.assert_allclose(gx, want_gx, **_tol(dtype))
+    np.testing.assert_allclose(gw, want_gw, **_tol(dtype))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_shared_right_operand_matches_einsum(dtype, transposed):
+    rng = np.random.default_rng(24)
+    if transposed:  # a non-contiguous left operand: a transposed view
+        a_arr = rng.standard_normal((2, 3, 6, 4)).astype(dtype).transpose(0, 1, 3, 2)
+        assert not a_arr.flags.c_contiguous
+    else:
+        a_arr = rng.standard_normal((2, 3, 4, 6)).astype(dtype)
+    a = Tensor(a_arr)
+    b = Tensor(rng.standard_normal((6, 5)).astype(dtype))
+    out, r, (ga, gb) = _fwd_and_grads(T.matmul, [a, b], seed=25)
+    np.testing.assert_allclose(out, np.einsum("bcik,km->bcim", a_arr, b.data), **_tol(dtype))
+    np.testing.assert_allclose(ga, np.einsum("bcim,km->bcik", r, b.data), **_tol(dtype))
+    np.testing.assert_allclose(gb, np.einsum("bcik,bcim->km", a_arr, r), **_tol(dtype))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batch_norm_train_matches_numpy_moments(dtype):
+    rng = np.random.default_rng(26)
+    x = Tensor((3.0 * rng.standard_normal((3, 4, 5, 6)) + 2.0).astype(dtype))
+    g = Tensor(rng.uniform(0.5, 1.5, size=4).astype(dtype))
+    b = Tensor(rng.standard_normal(4).astype(dtype))
+    mean = x.data.mean(axis=(0, 2, 3))
+    var = x.data.var(axis=(0, 2, 3))
+    mu, v = T.channel_moments(x.data)
+    np.testing.assert_allclose(mu, mean, **_tol(dtype))
+    np.testing.assert_allclose(v, var, **_tol(dtype))
+    shape = (1, -1, 1, 1)
+    want = ((x.data - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + 1e-5)
+            * g.data.reshape(shape) + b.data.reshape(shape))
+    np.testing.assert_allclose(T.batch_norm_train(x, g, b).data, want, **_tol(dtype))
+    np.testing.assert_allclose(T.batch_norm_train(x, g, b, moments=(mu, v)).data, want,
+                               **_tol(dtype))

@@ -202,6 +202,27 @@ class TestTrainLoop:
         assert metrics[-1].train_acc >= 0.9
         assert len(metrics) < 50
 
+    def test_early_stop_requires_eval_mode_accuracy(self):
+        # Resetting the running moments after every epoch keeps eval mode far
+        # behind train mode; stopping on the train-mode accuracy alone would
+        # return a model that fails the target in eval mode.
+        train, cfg = tiny_setup()
+        model = build_model(cfg, seed=3)
+
+        def reset_moments(row):
+            for name, arr in model.named_state():
+                arr[...] = 1.0 if name.endswith("running_var") else 0.0
+
+        metrics = train_loop(model, train,
+                             TrainConfig(epochs=30, warmup=1, base_lr=0.05,
+                                         decay_steps=(20,), batch_size=4,
+                                         augment=False, seed=1,
+                                         early_stop_train_acc=0.9),
+                             log=reset_moments)
+        x, y, _ = to_arrays(train, dtype=model.dtype)
+        assert max(m.train_acc for m in metrics) >= 0.9  # the train-mode gate was met
+        assert len(metrics) == 30 or evaluate(model, x, y) >= 0.9
+
     def test_label_permutation_permutes_confusion_structure(self):
         # zero-init head makes training covariant under class relabeling; run in
         # 64-bit so reordered class sums stay far below decision margins
