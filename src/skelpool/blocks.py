@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .gcn import GraphConvParams, batch_normalize, gcn_block, spatial_graph_conv
+from .gcn import BatchNorm, GraphConvParams, batch_normalize, gcn_block, spatial_graph_conv
 from .pooling import PoolingParams, st_pool
 from .skeleton import SkeletonTopology
 from .tensor import Parameter, Tensor
@@ -67,21 +67,6 @@ class CrossFusionParams:
                                           dtype=dtype, name=f"{name}.gcn_fine"),
             pool_in=pool_in, pool_fine=pool_fine,
             weight=weight, fuse=fuse, w_merge=w_merge, residual_pool=residual_pool)
-
-    def named_parameters(self, prefix: str):
-        out = self.gcn_coarse.named_parameters(f"{prefix}.gcn_coarse")
-        out += self.gcn_fine.named_parameters(f"{prefix}.gcn_fine")
-        if self.pool_in is not None:
-            out += self.pool_in.named_parameters(f"{prefix}.pool_in")
-        if self.pool_fine is not None:
-            out += self.pool_fine.named_parameters(f"{prefix}.pool_fine")
-        if self.w_merge is not None:
-            out.append((f"{prefix}.w_merge", self.w_merge))
-        return out
-
-    def named_state(self, prefix: str):
-        return (self.gcn_coarse.named_state(f"{prefix}.gcn_coarse")
-                + self.gcn_fine.named_state(f"{prefix}.gcn_fine"))
 
 
 def cross_fusion_split(x: Tensor, params: CrossFusionParams, assignment: Tensor | None,
@@ -168,18 +153,15 @@ class IsmParams:
     """Two embedding streams (bone vectors and positions), each a normalization
     plus two graph-convolution layers into `channels` dimensions."""
 
-    vec_norm: "BatchNorm"
-    pos_norm: "BatchNorm"
+    vec_norm: BatchNorm
+    pos_norm: BatchNorm
     vec_conv1: Parameter
     vec_conv2: Parameter
     pos_conv1: Parameter
     pos_conv2: Parameter
-    normalize: bool = True
 
     @classmethod
-    def init(cls, channels: int = 32, normalize: bool = True,
-             rng=None, dtype=np.float32, name: str = "ism"):
-        from .gcn import BatchNorm
+    def init(cls, channels: int = 32, rng=None, dtype=np.float32, name: str = "ism"):
         rng = rng if rng is not None else np.random.default_rng(0)
 
         def conv(tag, c_in, c_out):
@@ -191,29 +173,11 @@ class IsmParams:
             vec_conv1=conv("vec_conv1", 3, channels),
             vec_conv2=conv("vec_conv2", channels, channels),
             pos_conv1=conv("pos_conv1", 3, channels),
-            pos_conv2=conv("pos_conv2", channels, channels),
-            normalize=normalize)
+            pos_conv2=conv("pos_conv2", channels, channels))
 
     @property
     def out_channels(self) -> int:
         return 2 * self.vec_conv2.shape[1]
-
-    def named_parameters(self, prefix: str):
-        out = []
-        if self.normalize:
-            out += self.vec_norm.named_parameters(f"{prefix}.vec_norm")
-            out += self.pos_norm.named_parameters(f"{prefix}.pos_norm")
-        out += [(f"{prefix}.vec_conv1", self.vec_conv1),
-                (f"{prefix}.vec_conv2", self.vec_conv2),
-                (f"{prefix}.pos_conv1", self.pos_conv1),
-                (f"{prefix}.pos_conv2", self.pos_conv2)]
-        return out
-
-    def named_state(self, prefix: str):
-        if not self.normalize:
-            return []
-        return (self.vec_norm.named_state(f"{prefix}.vec_norm")
-                + self.pos_norm.named_state(f"{prefix}.pos_norm"))
 
 
 def information_supplement(x: Tensor, params: IsmParams, topology: SkeletonTopology,
@@ -224,8 +188,7 @@ def information_supplement(x: Tensor, params: IsmParams, topology: SkeletonTopol
         raise ValueError("information_supplement expects raw (batch, 3, frames, nodes) input")
 
     def stream(feat, norm, w1, w2):
-        if params.normalize:
-            feat = batch_normalize(feat, norm, train)
+        feat = batch_normalize(feat, norm, train)
         feat = spatial_graph_conv(feat, w1, adjacency)
         feat = T.relu(feat)
         return spatial_graph_conv(feat, w2, adjacency)
@@ -256,9 +219,6 @@ class ClassifierHead:
              name: str = "head"):
         return cls(w=Parameter(np.zeros((channels, classes)), name=f"{name}.w", dtype=dtype),
                    b=Parameter(np.zeros(classes), name=f"{name}.b", dtype=dtype))
-
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
     def affine(self, pooled: Tensor) -> Tensor:
         return T.add_bias(T.matmul(pooled, self.w), self.b)

@@ -9,6 +9,7 @@ explicit flags; every run echoes its fully-resolved configuration. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,6 +46,13 @@ def _load_dataset(path: str) -> D.Dataset:
         raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
     except ValueError as exc:
         raise CliError(3, f"{path}: {exc}") from exc
+
+
+def _load_checkpoint(path: str):
+    try:
+        return load_checkpoint(path)
+    except ValueError as exc:
+        raise CliError(3, str(exc)) from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -137,17 +145,8 @@ def cmd_train(args) -> int:
     model_doc["topology"] = train_ds.topology
     model_doc["classes"] = train_ds.class_count
     model_doc["frames"] = target
-    train_defaults = {
-        "epochs": TR.TrainConfig.epochs, "warmup": TR.TrainConfig.warmup,
-        "base_lr": TR.TrainConfig.base_lr,
-        "decay_steps": list(TR.TrainConfig.decay_steps),
-        "decay_factor": TR.TrainConfig.decay_factor,
-        "momentum": TR.TrainConfig.momentum,
-        "weight_decay": TR.TrainConfig.weight_decay,
-        "batch_size": TR.TrainConfig.batch_size, "seed": TR.TrainConfig.seed,
-        "augment": TR.TrainConfig.augment, "rotate_max": TR.TrainConfig.rotate_max,
-        "early_stop_train_acc": None,
-    }
+    train_defaults = dataclasses.asdict(TR.TrainConfig())
+    train_defaults["decay_steps"] = list(train_defaults["decay_steps"])
     train_doc = _resolve(train_defaults, file_cfg.get("train"), {
         "epochs": args.epochs, "warmup": args.warmup, "base_lr": args.lr,
         "decay_steps": list(_parse_ints(args.decay_steps))
@@ -184,7 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.data)
     ds = D.apply_stream(ds, args.stream)
     ds = D.resample_dataset(ds, model.config.frames)
@@ -268,7 +267,7 @@ def cmd_export_topology(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint)
     if not (model.config.adaptive and model.config.pooling_locations):
         raise CliError(2, "checkpoint has no adaptive pooling; nothing to dump")
     ds = _load_dataset(args.data)

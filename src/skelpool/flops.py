@@ -42,8 +42,9 @@ class FlopsReport:
 def _gcn_block(add, block, c_in, c_out, t, n, k):
     add(block, "conv1x1", c_in * c_out * t * n)
     add(block, "adjacency", c_out * t * n * n)
-    add(block, "batch_norm", c_out * t * n)
+    add(block, "batch_norm", c_out * t * n)  # norm
     add(block, "temporal_conv", c_out * c_out * k * t * n)
+    add(block, "batch_norm", c_out * t * n)  # norm_out
 
 
 def _pooling(add, block, c, t, n, m, adaptive, ratio):

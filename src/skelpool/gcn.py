@@ -35,13 +35,6 @@ class BatchNorm:
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype))
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
-    def named_state(self, prefix: str):
-        return [(f"{prefix}.running_mean", self.running_mean),
-                (f"{prefix}.running_var", self.running_var)]
-
 
 def batch_normalize(x: Tensor, norm: BatchNorm, train: bool) -> Tensor:
     """Train mode: batch statistics (and a running-moment update). Eval mode:
@@ -73,11 +66,6 @@ def spatial_graph_conv(x: Tensor, w: Tensor, adjacency: Tensor) -> Tensor:
     return T.matmul(T.conv1x1(x, w), adjacency)
 
 
-def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Per-node 1-D convolution along frames (odd kernel, symmetric padding)."""
-    return T.temporal_conv(x, w, stride=stride)
-
-
 @dataclass
 class GraphConvParams:
     """Weights for one spatial-temporal block on a fixed graph resolution."""
@@ -105,16 +93,6 @@ class GraphConvParams:
             norm_out=BatchNorm.init(c_out, dtype=dtype, name=f"{name}.norm_out"),
             kernel=kernel, stride=stride)
 
-    def named_parameters(self, prefix: str):
-        return ([(f"{prefix}.w_spatial", self.w_spatial),
-                 (f"{prefix}.w_temporal", self.w_temporal)]
-                + self.norm.named_parameters(f"{prefix}.norm")
-                + self.norm_out.named_parameters(f"{prefix}.norm_out"))
-
-    def named_state(self, prefix: str):
-        return (self.norm.named_state(f"{prefix}.norm")
-                + self.norm_out.named_state(f"{prefix}.norm_out"))
-
 
 def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool) -> Tensor:
     """spatial conv -> norm -> rectifier -> temporal conv -> norm (+ skip) -> rectifier.
@@ -125,7 +103,7 @@ def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool
     y = spatial_graph_conv(x, params.w_spatial, adjacency)
     y = batch_normalize(y, params.norm, train)
     y = T.relu(y)
-    y = temporal_conv(y, params.w_temporal, stride=params.stride)
+    y = T.temporal_conv(y, params.w_temporal, stride=params.stride)
     y = batch_normalize(y, params.norm_out, train)
     if y.shape == x.shape:
         y = T.add(y, x)

@@ -19,28 +19,6 @@ from . import tensor as T
 from .tensor import Tape, Tensor, gradients
 
 
-def finite_difference(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar-valued f at x, one element at a time."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    base = x.data
-    out = np.zeros(base.shape, dtype=np.float64)
-    flat_out = out.reshape(-1)
-    for i in range(base.size):
-        for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            shifted = base.copy()
-            shifted.reshape(-1)[i] += sign * eps
-            val = float(f(Tensor(shifted)).data)
-            if not np.isfinite(val):
-                raise T.NonFiniteError("finite_difference")
-            if slot == 0:
-                fp = val
-            else:
-                fm = val
-        flat_out[i] = (fp - fm) / (2.0 * eps)
-    return Tensor(out.astype(base.dtype) if base.dtype == np.float64 else out)
-
-
 def _fd_on_leaf(thunk: Callable[[], Tensor], leaf: Tensor, eps: float) -> np.ndarray:
     """Central differences of thunk() with respect to one leaf buffer."""
     base = leaf.data
@@ -299,7 +277,7 @@ def composite_cases() -> list[CheckCase]:
         def thunk():
             y = blocks.cross_fusion_block(x, params, p, coarse, fine, train=True)
             return _weighted_sum(y, w)
-        return thunk, [x] + [t for _, t in params.named_parameters("cfb")]
+        return thunk, [x] + [t for _, t in T.named_leaves(params, "cfb", T.Parameter)]
     cases.append(CheckCase("cross_fusion_block", cfb_builder))
 
     def ism_builder(rng, dtype):
@@ -312,7 +290,7 @@ def composite_cases() -> list[CheckCase]:
         def thunk():
             y = blocks.information_supplement(x, params, topo, adj, train=True)
             return _weighted_sum(y, w)
-        return thunk, [x] + [t for _, t in params.named_parameters("ism")]
+        return thunk, [x] + [t for _, t in T.named_leaves(params, "ism", T.Parameter)]
     cases.append(CheckCase("information_supplement", ism_builder))
 
     def head_builder(rng, dtype):
@@ -334,7 +312,7 @@ def composite_cases() -> list[CheckCase]:
 
         def thunk():
             return _weighted_sum(gcn.gcn_block(x, params, adj, train=True), w)
-        return thunk, [x] + [t for _, t in params.named_parameters("gcn")]
+        return thunk, [x] + [t for _, t in T.named_leaves(params, "gcn", T.Parameter)]
     cases.append(CheckCase("gcn_block", gcnblock_builder))
 
     return cases

@@ -21,7 +21,7 @@ from .blocks import (ClassifierHead, CrossFusionParams, IsmParams, classifier_he
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import PartitionScheme, SkeletonTopology, load_topology, stage_matrices
-from .tensor import Tensor
+from .tensor import Parameter, Tensor, named_leaves
 
 VARIANTS = ("light", "heavy")
 _MAGIC = b"SKPL"
@@ -165,24 +165,6 @@ class Stage:
     gcn: GraphConvParams | None = None      # light variant
     cfb: CrossFusionParams | None = None    # heavy variant
 
-    def named_parameters(self, prefix: str):
-        out = []
-        if self.pool is not None:
-            out += self.pool.named_parameters(f"{prefix}.pool")
-        if self.gcn is not None:
-            out += self.gcn.named_parameters(f"{prefix}.gcn")
-        if self.cfb is not None:
-            out += self.cfb.named_parameters(f"{prefix}.cfb")
-        return out
-
-    def named_state(self, prefix: str):
-        out = []
-        if self.gcn is not None:
-            out += self.gcn.named_state(f"{prefix}.gcn")
-        if self.cfb is not None:
-            out += self.cfb.named_state(f"{prefix}.cfb")
-        return out
-
 
 class Model:
     """A built network: constant graph matrices plus the parameter tree."""
@@ -202,22 +184,18 @@ class Model:
     def dtype(self):
         return self.config.np_dtype
 
-    def named_parameters(self):
-        out = []
-        if self.ism is not None:
-            out += self.ism.named_parameters("ism")
-        for stage in self.stages:
-            out += stage.named_parameters(f"stage{stage.plan.index}")
-        out += self.head.named_parameters("head")
-        return out
+    def _named_leaves(self, kind: type) -> list:
+        trees = [("ism", self.ism)] if self.ism is not None else []
+        trees += [(f"stage{s.plan.index}", s) for s in self.stages] + [("head", self.head)]
+        return [pair for prefix, tree in trees for pair in named_leaves(tree, prefix, kind)]
 
-    def named_state(self):
-        out = []
-        if self.ism is not None:
-            out += self.ism.named_state("ism")
-        for stage in self.stages:
-            out += stage.named_state(f"stage{stage.plan.index}")
-        return out
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        """Every trainable parameter: `ism`, then `stage1`..`stage3`, then `head`."""
+        return self._named_leaves(Parameter)
+
+    def named_state(self) -> list[tuple[str, np.ndarray]]:
+        """The running moments of every batch norm, in the same tree order."""
+        return self._named_leaves(np.ndarray)
 
     def node_trajectory(self) -> list[int]:
         """Node counts from input graph through every stage output."""
@@ -355,35 +333,56 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
+    """Rebuild a model from a checkpoint file; a malformed file raises ValueError.
+
+    The header must list exactly the model's `named_parameters()` and then its
+    `named_state()`, in that order, with their shapes and a known dtype, and
+    the data blocks must end the file.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        raw = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += n
+        return raw[pos - n : pos]
+
+    if take(4) != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (version,) = struct.unpack("<I", take(4))
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    (hlen,) = struct.unpack("<Q", take(8))
+    blob = take(hlen).tobytes()
+    try:
+        header = json.loads(blob.decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        model = build_model(config, seed=int(header.get("seed", 0)))
+        seed = int(header.get("seed", 0))
+        sections = [[(m["name"], tuple(m["shape"]), m["dtype"]) for m in header[key]]
+                    for key in ("params", "state")]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+    model = build_model(config, seed=seed)
 
-        def read_block(meta):
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            itemsize = 4 if meta["dtype"] == "f4" else 8
-            buf = fh.read(count * itemsize)
-            if len(buf) != count * itemsize:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return np.frombuffer(buf, dtype="<" + meta["dtype"]).reshape(shape)
-
-        by_name = dict(model.named_parameters())
-        saved = [m["name"] for m in header["params"]]
-        if saved != [n for n, _ in model.named_parameters()]:
-            raise ValueError(f"{path}: parameter set does not match the config")
-        for meta in header["params"]:
-            by_name[meta["name"]].assign(read_block(meta).astype(model.dtype))
-        state_by_name = dict(model.named_state())
-        for meta in header["state"]:
-            if meta["name"] not in state_by_name:
-                raise ValueError(f"{path}: unknown state entry {meta['name']}")
-            state_by_name[meta["name"]][...] = read_block(meta).astype(model.dtype)
+    for kind, saved, leaves in (("parameter", sections[0], model.named_parameters()),
+                                ("state", sections[1], model.named_state())):
+        if [name for name, _, _ in saved] != [name for name, _ in leaves]:
+            raise ValueError(f"{path}: {kind} entries do not match the config")
+        for (name, shape, code), (_, leaf) in zip(saved, leaves):
+            if code not in ("f4", "f8"):
+                raise ValueError(f"{path}: unknown dtype {code!r} for {name}")
+            if shape != leaf.shape:
+                raise ValueError(f"{path}: {name} has shape {shape}, not {leaf.shape}")
+            dtype = np.dtype("<" + code)
+            value = np.frombuffer(take(leaf.size * dtype.itemsize), dtype=dtype)
+            value = value.reshape(shape).astype(model.dtype)
+            if isinstance(leaf, Parameter):
+                leaf.assign(value)
+            else:
+                leaf[...] = value
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the data blocks")
     return model

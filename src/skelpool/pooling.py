@@ -45,9 +45,6 @@ class PoolingParams:
             w_psi=Parameter(T.glorot(rng, (channels, proj)), name=f"{name}.w_psi", dtype=dtype),
             ratio=ratio, sigma=sigma)
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.w_phi", self.w_phi), (f"{prefix}.w_psi", self.w_psi)]
-
 
 def correlation(x: Tensor, params: PoolingParams) -> Tensor:
     """Per-frame, per-node mean embedding similarity to all nodes, normalized.
@@ -95,11 +92,6 @@ def spatial_pool(x: Tensor, corr: Tensor | None, assignment: Tensor,
     return T.matmul(pre, assignment)
 
 
-def temporal_pool(x: Tensor) -> Tensor:
-    """Average non-overlapping frame pairs; an odd trailing frame passes through."""
-    return T.pair_avg_time(x)
-
-
 def st_pool(x: Tensor, params: PoolingParams | None, assignment: Tensor,
             residual: bool = True, corr_out: list | None = None) -> Tensor:
     """Spatial pooling followed by temporal pair averaging.
@@ -110,4 +102,4 @@ def st_pool(x: Tensor, params: PoolingParams | None, assignment: Tensor,
     corr = correlation(x, params) if params is not None else None
     if corr is not None and corr_out is not None:
         corr_out.append(corr)
-    return temporal_pool(spatial_pool(x, corr, assignment, residual=residual))
+    return T.pair_avg_time(spatial_pool(x, corr, assignment, residual=residual))

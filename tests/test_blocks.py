@@ -163,19 +163,6 @@ class TestInformationSupplement:
         b = information_supplement(x, params, topo, adj, train=True).data
         assert np.isfinite(a).all() and np.array_equal(a, b)
 
-    def test_normalization_toggle(self):
-        topo = chain(4)
-        adj = Tensor(normalized_adjacency(topo))
-        on = IsmParams.init(channels=4, rng=np.random.default_rng(14), dtype=np.float64)
-        off = IsmParams.init(channels=4, normalize=False,
-                             rng=np.random.default_rng(14), dtype=np.float64)
-        x = Tensor(np.random.default_rng(15).standard_normal((2, 3, 4, 4)))
-        ya = information_supplement(x, on, topo, adj, train=True).data
-        yb = information_supplement(x, off, topo, adj, train=True).data
-        assert not np.allclose(ya, yb)
-        names_off = [n for n, _ in off.named_parameters("ism")]
-        assert not any("norm" in n for n in names_off)
-
     def test_requires_raw_coordinates(self):
         topo = chain(4)
         params = IsmParams.init(channels=4, dtype=np.float64)

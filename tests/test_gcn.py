@@ -5,7 +5,7 @@ import pytest
 
 from skelpool import tensor as T
 from skelpool.gcn import (BatchNorm, GraphConvParams, batch_normalize, gcn_block,
-                          spatial_graph_conv, temporal_conv)
+                          spatial_graph_conv)
 from skelpool.skeleton import SkeletonTopology, normalized_adjacency
 from skelpool.tensor import Tensor
 
@@ -62,19 +62,19 @@ class TestTemporalConv:
     def test_kernel_one_identity_weight(self):
         x = rand((2, 3, 5, 2), seed=7)
         w = Tensor(np.eye(3)[:, :, None])
-        assert np.allclose(temporal_conv(x, w).data, x.data)
+        assert np.allclose(T.temporal_conv(x, w).data, x.data)
 
     def test_impulse_response(self):
         x = np.zeros((1, 1, 4, 1))
         x[0, 0, 1, 0] = 1.0
         w = np.array([0.25, 0.5, 0.25]).reshape(1, 1, 3)
-        out = temporal_conv(Tensor(x), Tensor(w)).data.ravel()
+        out = T.temporal_conv(Tensor(x), Tensor(w)).data.ravel()
         assert np.allclose(out, [0.25, 0.5, 0.25, 0.0])
 
     def test_stride_two_halves_frames(self):
         x = rand((1, 2, 8, 3), seed=8)
         w = rand((2, 2, 5), seed=9)
-        assert temporal_conv(x, w, stride=2).shape == (1, 2, 4, 3)
+        assert T.temporal_conv(x, w, stride=2).shape == (1, 2, 4, 3)
 
 
 class TestBatchNorm:

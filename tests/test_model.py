@@ -1,10 +1,15 @@
 """Model assembly, forward contracts, checkpoints, and MAC accounting."""
 
 import dataclasses
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from skelpool.cli import main
+from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
 from skelpool.model import (ModelConfig, build_model, load_checkpoint,
                             save_checkpoint, stage_plan)
@@ -49,6 +54,20 @@ class TestBuild:
         model = build_model(slim_config(variant="heavy", fusion_mode="concat"), seed=0)
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("overrides, params, state", [
+        (dict(variant="light"), (34, "a854996692abd0f1"), (16, "62f2e63c341f4ae0")),
+        (dict(variant="heavy", fusion_mode="concat"),
+         (61, "a94ef9b9de62cf8f"), (28, "7e137c249c5bb0c1")),
+    ])
+    def test_parameter_and_state_names_are_pinned(self, overrides, params, state):
+        # the names, in order, are the checkpoint layout: any change breaks old files
+        model = build_model(ModelConfig(**overrides), seed=0)
+        for leaves, (count, digest) in ((model.named_parameters(), params),
+                                         (model.named_state(), state)):
+            names = [n for n, _ in leaves]
+            assert len(names) == count
+            assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
 
     def test_partial_pooling_prefix(self):
         model = build_model(slim_config(pooling_locations=(1,)), seed=0)
@@ -132,6 +151,37 @@ class TestForward:
         assert sink == []
 
 
+# defect -> the message that names it
+MALFORMED = {"short_header": "truncated", "trailing_bytes": "trailing bytes",
+             "no_state": "state entries do not match", "unknown_dtype": "unknown dtype",
+             "state_shape": "shape"}
+
+
+def malformed_checkpoint(tmp_path, case: str) -> bytes:
+    """The bytes of a small heavy-model checkpoint with one defect."""
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(build_model(slim_config(variant="heavy"), seed=0), str(path))
+    raw = path.read_bytes()
+    if case == "short_header":
+        return raw[:6]
+    if case == "trailing_bytes":
+        return raw + b"junk"
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header, blocks = json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+    if case == "no_state":
+        state_bytes = 4 * sum(int(np.prod(m["shape"])) for m in header["state"])
+        header["state"], blocks = [], blocks[: len(blocks) - state_bytes]
+    elif case == "unknown_dtype":
+        header["params"][0]["dtype"] = "f2"
+    elif case == "state_shape":
+        # one value for a whole running-mean vector: it must not be broadcast
+        meta = header["state"][-1]
+        blocks = blocks[: len(blocks) - 4 * (int(np.prod(meta["shape"])) - 1)]
+        meta["shape"] = [1]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + blocks
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         cfg = slim_config(variant="heavy")
@@ -152,6 +202,25 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("case, message", MALFORMED.items())
+    def test_malformed_file_rejected(self, tmp_path, case, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(malformed_checkpoint(tmp_path, case))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("command", ["eval", "dump-attention"])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_cli_exits_3_on_malformed_file(self, tmp_path, capsys, command, case):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(malformed_checkpoint(tmp_path, case))
+        data = tmp_path / "data.json"
+        save_dataset(synth_generate(classes=8, per_class=1, frames=16, seed=1), str(data))
+        code = main([command, "--checkpoint", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 class TestFlops:
@@ -186,6 +255,16 @@ class TestFlops:
 
     def test_counts_depend_only_on_shapes(self):
         assert count_flops(slim_config()).entries == count_flops(slim_config()).entries
+
+    @pytest.mark.parametrize("variant, gcn_blocks", [("light", 1), ("heavy", 2)])
+    def test_two_batch_norms_per_graph_conv_block(self, variant, gcn_blocks):
+        # each graph-conv block normalizes after its spatial and its temporal conv
+        cfg = slim_config(variant=variant)
+        report = count_flops(cfg)
+        for index in cfg.pooling_locations:
+            ops = [op for block, op, _ in report.entries if block == f"stage{index}"]
+            assert ops.count("temporal_conv") == gcn_blocks
+            assert ops.count("batch_norm") == 2 * gcn_blocks
 
     def test_adaptive_toggle_reduces_count(self):
         on = count_flops(slim_config(adaptive=True)).total

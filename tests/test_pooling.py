@@ -5,8 +5,7 @@ import pytest
 
 from skelpool import tensor as T
 from skelpool.gradcheck import _fd_on_leaf
-from skelpool.pooling import (PoolingParams, correlation, spatial_pool, st_pool,
-                              temporal_pool)
+from skelpool.pooling import PoolingParams, correlation, spatial_pool, st_pool
 from skelpool.skeleton import build_assignment, builtin_partition
 from skelpool.tensor import Tape, Tensor, gradients
 
@@ -179,16 +178,16 @@ class TestSpatialPool:
 class TestTemporalPool:
     def test_pair_average_values(self):
         x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 4, 1))
-        assert np.array_equal(temporal_pool(x).data.ravel(), [2.0, 6.0])
+        assert np.array_equal(T.pair_avg_time(x).data.ravel(), [2.0, 6.0])
 
     def test_single_frame_passes_through(self):
         x = Tensor(np.random.default_rng(19).standard_normal((2, 3, 1, 4)))
-        assert np.array_equal(temporal_pool(x).data, x.data)
+        assert np.array_equal(T.pair_avg_time(x).data, x.data)
 
     def test_three_applications_take_64_frames_to_8(self):
         x = Tensor(np.random.default_rng(20).standard_normal((1, 2, 64, 3)))
         for want in (32, 16, 8):
-            x = temporal_pool(x)
+            x = T.pair_avg_time(x)
             assert x.shape[2] == want
 
 
