@@ -44,7 +44,7 @@ class CrossFusionParams:
     def init(cls, c_in: int, c_out: int, ratio: int = 4, sigma: str = "tanh",
              kernel: int = 5, fuse: str = "sum", weight: float = 0.5,
              adaptive: bool = True, residual_pool: bool = True,
-             rng=None, dtype=np.float32, name: str = "cfb"):
+             rng=None, dtype=np.float32):
         if fuse not in FUSION_MODES:
             raise ValueError(f"fuse must be one of {FUSION_MODES}")
         if not 0.0 <= weight <= 1.0:
@@ -52,19 +52,15 @@ class CrossFusionParams:
         rng = rng if rng is not None else np.random.default_rng(0)
         pool_in = pool_fine = None
         if adaptive:
-            pool_in = PoolingParams.init(c_in, ratio=ratio, sigma=sigma, rng=rng,
-                                         dtype=dtype, name=f"{name}.pool_in")
+            pool_in = PoolingParams.init(c_in, ratio=ratio, sigma=sigma, rng=rng, dtype=dtype)
             pool_fine = PoolingParams.init(c_out, ratio=ratio, sigma=sigma, rng=rng,
-                                           dtype=dtype, name=f"{name}.pool_fine")
+                                           dtype=dtype)
         w_merge = None
         if fuse == "concat":
-            w_merge = Parameter(T.glorot(rng, (2 * c_out, c_out)),
-                                name=f"{name}.w_merge", dtype=dtype)
+            w_merge = Parameter(T.glorot(rng, (2 * c_out, c_out)), dtype=dtype)
         return cls(
-            gcn_coarse=GraphConvParams.init(c_in, c_out, kernel=kernel, rng=rng,
-                                            dtype=dtype, name=f"{name}.gcn_coarse"),
-            gcn_fine=GraphConvParams.init(c_in, c_out, kernel=kernel, rng=rng,
-                                          dtype=dtype, name=f"{name}.gcn_fine"),
+            gcn_coarse=GraphConvParams.init(c_in, c_out, kernel=kernel, rng=rng, dtype=dtype),
+            gcn_fine=GraphConvParams.init(c_in, c_out, kernel=kernel, rng=rng, dtype=dtype),
             pool_in=pool_in, pool_fine=pool_fine,
             weight=weight, fuse=fuse, w_merge=w_merge, residual_pool=residual_pool)
 
@@ -161,19 +157,19 @@ class IsmParams:
     pos_conv2: Parameter
 
     @classmethod
-    def init(cls, channels: int = 32, rng=None, dtype=np.float32, name: str = "ism"):
+    def init(cls, channels: int = 32, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
 
-        def conv(tag, c_in, c_out):
-            return Parameter(T.glorot(rng, (c_in, c_out)), name=f"{name}.{tag}", dtype=dtype)
+        def conv(c_in, c_out):
+            return Parameter(T.glorot(rng, (c_in, c_out)), dtype=dtype)
 
         return cls(
-            vec_norm=BatchNorm.init(3, dtype=dtype, name=f"{name}.vec_norm"),
-            pos_norm=BatchNorm.init(3, dtype=dtype, name=f"{name}.pos_norm"),
-            vec_conv1=conv("vec_conv1", 3, channels),
-            vec_conv2=conv("vec_conv2", channels, channels),
-            pos_conv1=conv("pos_conv1", 3, channels),
-            pos_conv2=conv("pos_conv2", channels, channels))
+            vec_norm=BatchNorm.init(3, dtype=dtype),
+            pos_norm=BatchNorm.init(3, dtype=dtype),
+            vec_conv1=conv(3, channels),
+            vec_conv2=conv(channels, channels),
+            pos_conv1=conv(3, channels),
+            pos_conv2=conv(channels, channels))
 
     @property
     def out_channels(self) -> int:
@@ -215,10 +211,9 @@ class ClassifierHead:
     b: Parameter  # (classes,)
 
     @classmethod
-    def init(cls, channels: int, classes: int, rng=None, dtype=np.float32,
-             name: str = "head"):
-        return cls(w=Parameter(np.zeros((channels, classes)), name=f"{name}.w", dtype=dtype),
-                   b=Parameter(np.zeros(classes), name=f"{name}.b", dtype=dtype))
+    def init(cls, channels: int, classes: int, rng=None, dtype=np.float32):
+        return cls(w=Parameter(np.zeros((channels, classes)), dtype=dtype),
+                   b=Parameter(np.zeros(classes), dtype=dtype))
 
     def affine(self, pooled: Tensor) -> Tensor:
         return T.add_bias(T.matmul(pooled, self.w), self.b)

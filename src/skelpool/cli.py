@@ -9,7 +9,6 @@ explicit flags; every run echoes its fully-resolved configuration. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,9 +17,12 @@ import numpy as np
 
 from . import data as D
 from . import train as TR
+from .blocks import FUSION_MODES
 from .flops import count_flops, no_pooling_control
 from .gradcheck import run_all
-from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .model import (VARIANTS, ModelConfig, build_model, config_doc, config_from_doc,
+                    load_checkpoint, save_checkpoint)
+from .pooling import SIGMAS
 from .skeleton import builtin_names, builtin_partition, builtin_topology, topology_doc
 from .tensor import NonFiniteError
 
@@ -31,12 +33,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
+def _read_config(path: str | None) -> dict:
+    """The `model` and `train` sections of a --config file, each {} when absent."""
+    doc = {}
+    if path:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except ValueError as exc:
+            raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise CliError(3, f"{path}: the top level is not a JSON object")
+    for key, section in doc.items():
+        if key not in ("model", "train") or not isinstance(section, dict):
+            raise CliError(2, f"{path}: section {key!r} must be 'model' or 'train' "
+                              "and hold a JSON object")
+    return {"model": doc.get("model", {}), "train": doc.get("train", {})}
 
 
 def _load_dataset(path: str) -> D.Dataset:
@@ -63,12 +75,10 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v != "")
 
 
-def _resolve(defaults: dict, file_section: dict | None, flag_overrides: dict) -> dict:
-    out = dict(defaults)
-    if file_section:
-        out.update(file_section)
-    out.update({k: v for k, v in flag_overrides.items() if v is not None})
-    return out
+def _resolve(file_section: dict, flag_overrides: dict) -> dict:
+    """The file section, then every flag that was given (not None); the fields
+    that neither sets keep their dataclass defaults in `config_from_doc`."""
+    return {**file_section, **{k: v for k, v in flag_overrides.items() if v is not None}}
 
 
 def _echo_config(doc: dict, out_dir: str | None = None) -> None:
@@ -98,9 +108,9 @@ def cmd_synth(args) -> int:
 def _model_dict_from_flags(args) -> dict:
     return {
         "variant": args.variant,
-        "channels": _parse_ints(args.channels) if args.channels else None,
+        "channels": _parse_ints(args.channels) if args.channels is not None else None,
         "pooling_locations": _parse_ints(args.pooling_locations)
-        if args.pooling_locations else None,
+        if args.pooling_locations is not None else None,
         "ratio": args.ratio, "sigma": args.sigma,
         "fusion_weight": args.fusion_weight, "fusion_mode": args.fusion_mode,
         "temporal_kernel": args.kernel,
@@ -113,13 +123,13 @@ def _model_dict_from_flags(args) -> dict:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("light", "heavy"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--channels", help="per-stage widths, e.g. 64,128,256")
     p.add_argument("--pooling-locations", help="pooled stage prefix, e.g. 1,2,3")
     p.add_argument("--ratio", type=int, help="correlation projection reduction")
-    p.add_argument("--sigma", choices=("tanh", "sigmoid", "softmax"))
+    p.add_argument("--sigma", choices=SIGMAS)
     p.add_argument("--fusion-weight", type=float)
-    p.add_argument("--fusion-mode", choices=("sum", "concat"))
+    p.add_argument("--fusion-mode", choices=FUSION_MODES)
     p.add_argument("--kernel", type=int, help="temporal kernel size (odd)")
     p.add_argument("--no-ism", action="store_true")
     p.add_argument("--ism-channels", type=int)
@@ -133,41 +143,32 @@ def cmd_train(args) -> int:
     train_ds = _load_dataset(args.data)
     eval_ds = _load_dataset(args.eval) if args.eval else None
 
-    frames = {s.frames.shape[0] for s in train_ds.sequences}
-    native = frames.pop() if len(frames) == 1 else None
-    target = args.frames or (native // 2 if args.half_frames and native else native)
-    if target is None:
-        raise CliError(3, f"{args.data}: mixed frame counts; pass --frames")
+    frames = args.frames
+    if frames is None:
+        native = {s.frames.shape[0] for s in train_ds.sequences}
+        if len(native) != 1:
+            raise CliError(3, f"{args.data}: mixed frame counts; pass --frames")
+        frames = native.pop() // (2 if args.half_frames else 1)
 
-    file_cfg = _read_json(args.config) if args.config else {}
-    model_doc = _resolve(ModelConfig().to_dict(), file_cfg.get("model"),
-                         _model_dict_from_flags(args))
-    model_doc["topology"] = train_ds.topology
-    model_doc["classes"] = train_ds.class_count
-    model_doc["frames"] = target
-    train_defaults = dataclasses.asdict(TR.TrainConfig())
-    train_defaults["decay_steps"] = list(train_defaults["decay_steps"])
-    train_doc = _resolve(train_defaults, file_cfg.get("train"), {
+    file_cfg = _read_config(args.config)
+    model_cfg = config_from_doc(ModelConfig, _resolve(file_cfg["model"], {
+        **_model_dict_from_flags(args), "topology": train_ds.topology,
+        "classes": train_ds.class_count, "frames": frames}))
+    train_cfg = config_from_doc(TR.TrainConfig, _resolve(file_cfg["train"], {
         "epochs": args.epochs, "warmup": args.warmup, "base_lr": args.lr,
-        "decay_steps": list(_parse_ints(args.decay_steps))
-        if args.decay_steps is not None else None,
+        "decay_steps": _parse_ints(args.decay_steps) if args.decay_steps is not None else None,
         "decay_factor": args.decay_factor, "momentum": args.momentum,
         "weight_decay": args.weight_decay, "batch_size": args.batch_size,
         "seed": args.seed, "augment": False if args.no_augment else None,
         "rotate_max": args.rotate_max, "early_stop_train_acc": args.early_stop,
-    })
-
-    model_cfg = ModelConfig.from_dict(model_doc)
-    train_cfg = TR.TrainConfig(**{**train_doc,
-                                  "decay_steps": tuple(train_doc["decay_steps"])}).validate()
-    _echo_config({"model": model_cfg.to_dict(),
-                  "train": {**train_doc, "decay_steps": list(train_doc["decay_steps"])},
+    }))
+    _echo_config({"model": config_doc(model_cfg), "train": config_doc(train_cfg),
                   "stream": args.stream, "data": args.data, "eval": args.eval},
                  out_dir=args.out)
 
     def prep(ds):
         ds = D.apply_stream(ds, args.stream)
-        return D.resample_dataset(ds, target)
+        return D.resample_dataset(ds, model_cfg.frames)
 
     model = build_model(model_cfg, seed=args.model_seed)
     metrics = TR.train_loop(model, prep(train_ds), train_cfg,
@@ -198,16 +199,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    file_cfg = _read_json(args.config) if args.config else {}
-    doc = _resolve(ModelConfig().to_dict(), file_cfg.get("model"),
-                   _model_dict_from_flags(args))
-    doc["topology"] = args.topology or doc.get("topology", "ntu25")
-    doc["classes"] = args.classes or doc.get("classes", 8)
-    doc["frames"] = args.frames or doc.get("frames", 64)
+    flags = {**_model_dict_from_flags(args), "topology": args.topology,
+             "classes": args.classes, "frames": args.frames}
     if args.no_pooling:
-        doc["pooling_locations"] = []
-    cfg = ModelConfig.from_dict(doc)
-    _echo_config({"model": cfg.to_dict()})
+        flags["pooling_locations"] = ()
+    cfg = config_from_doc(ModelConfig, _resolve(_read_config(args.config)["model"], flags))
+    _echo_config({"model": config_doc(cfg)})
     report = count_flops(cfg)
     lines = report.lines()
     if cfg.pooling_locations:

@@ -28,10 +28,10 @@ class BatchNorm:
     eps: float = 1e-5
 
     @classmethod
-    def init(cls, channels: int, dtype=np.float32, name: str = "norm"):
+    def init(cls, channels: int, dtype=np.float32):
         return cls(
-            gamma=Parameter(np.ones(channels), name=f"{name}.gamma", decay=False, dtype=dtype),
-            beta=Parameter(np.zeros(channels), name=f"{name}.beta", decay=False, dtype=dtype),
+            gamma=Parameter(np.ones(channels), decay=False, dtype=dtype),
+            beta=Parameter(np.zeros(channels), decay=False, dtype=dtype),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype))
 
@@ -79,18 +79,17 @@ class GraphConvParams:
 
     @classmethod
     def init(cls, c_in: int, c_out: int, kernel: int = 5, stride: int = 1,
-             rng=None, dtype=np.float32, name: str = "gcn"):
+             rng=None, dtype=np.float32):
         if kernel % 2 == 0:
             raise ValueError("temporal kernel must be odd")
         rng = rng if rng is not None else np.random.default_rng(0)
         return cls(
-            w_spatial=Parameter(T.glorot(rng, (c_in, c_out)),
-                                name=f"{name}.w_spatial", dtype=dtype),
+            w_spatial=Parameter(T.glorot(rng, (c_in, c_out)), dtype=dtype),
             w_temporal=Parameter(T.glorot(rng, (c_out, c_out, kernel),
                                           fan_in=c_out * kernel, fan_out=c_out * kernel),
-                                 name=f"{name}.w_temporal", dtype=dtype),
-            norm=BatchNorm.init(c_out, dtype=dtype, name=f"{name}.norm"),
-            norm_out=BatchNorm.init(c_out, dtype=dtype, name=f"{name}.norm_out"),
+                                 dtype=dtype),
+            norm=BatchNorm.init(c_out, dtype=dtype),
+            norm_out=BatchNorm.init(c_out, dtype=dtype),
             kernel=kernel, stride=stride)
 
 

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blocks import (ClassifierHead, CrossFusionParams, IsmParams, classifier_head,
-                     cross_fusion_block, cross_fusion_split, fuse_branches,
-                     global_average, information_supplement)
+from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
+                     classifier_head, cross_fusion_block, cross_fusion_split,
+                     fuse_branches, global_average, information_supplement)
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
-from .skeleton import PartitionScheme, SkeletonTopology, load_topology, stage_matrices
+from .skeleton import (PartitionScheme, SkeletonTopology, load_topology,
+                       normalized_adjacency, stage_matrices)
 from .tensor import Parameter, Tensor, named_leaves
 
 VARIANTS = ("light", "heavy")
@@ -31,7 +32,7 @@ _VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str = "light"
-    topology: str = "ntu25"
+    topology: str | dict = "ntu25"  # a built-in name or a topology document
     classes: int = 8
     frames: int = 64
     channels: tuple[int, int, int] = (64, 128, 256)
@@ -52,8 +53,8 @@ class ModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.sigma not in SIGMAS:
             raise ValueError(f"sigma must be one of {SIGMAS}")
-        if self.fusion_mode not in ("sum", "concat"):
-            raise ValueError("fusion_mode must be 'sum' or 'concat'")
+        if self.fusion_mode not in FUSION_MODES:
+            raise ValueError(f"fusion_mode must be one of {FUSION_MODES}")
         if not 0.0 <= self.fusion_weight <= 1.0:
             raise ValueError("fusion_weight must lie in [0, 1]")
         if len(self.channels) != 3 or any(c < 1 for c in self.channels):
@@ -86,29 +87,42 @@ class ModelConfig:
     def stem_channels(self) -> int:
         return 2 * self.ism_channels if self.ism else 3
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "topology": self.topology, "classes": self.classes,
-            "frames": self.frames, "channels": list(self.channels),
-            "pooling_locations": list(self.pooling_locations), "ratio": self.ratio,
-            "sigma": self.sigma, "fusion_weight": self.fusion_weight,
-            "fusion_mode": self.fusion_mode, "temporal_kernel": self.temporal_kernel,
-            "ism": self.ism, "ism_channels": self.ism_channels,
-            "adaptive": self.adaptive, "residual_pool": self.residual_pool,
-            "dtype": self.dtype,
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        kwargs = dict(doc)
-        if "channels" in kwargs:
-            kwargs["channels"] = tuple(kwargs["channels"])
-        if "pooling_locations" in kwargs:
-            kwargs["pooling_locations"] = tuple(kwargs["pooling_locations"])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**kwargs).validate()
+# ---------------------------------------------------------------------------
+# config documents: the JSON form of a config dataclass (ModelConfig, TrainConfig)
+
+
+def config_doc(cfg) -> dict:
+    """Every field of a config dataclass, tuples written as lists."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+def _field_value(name: str, default, value):
+    """`value` checked against the type of the field's default; lists become tuples.
+    Types are compared with `type`, not `isinstance`, so a bool is never a number."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+        want = "a list of integers"
+    elif default is None or isinstance(default, float):
+        ok = type(value) in (int, float) or (default is None and value is None)
+        want = "a number" if default is not None else "a number or null"
+    else:  # bool, int or str; a topology may also be a topology document
+        ok = type(value) is type(default) or (name == "topology" and type(value) is dict)
+        want = {bool: "true or false", int: "an integer", str: "a string"}[type(default)]
+    if not ok:
+        raise ValueError(f"config field {name!r} must be {want}, not {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def config_from_doc(cls, doc: dict):
+    """The validated config of class `cls` from a document; missing fields keep
+    their defaults. An unknown key or a value of the wrong type raises ValueError."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    return cls(**{k: _field_value(k, defaults[k], v) for k, v in doc.items()}).validate()
 
 
 @dataclass(frozen=True)
@@ -259,15 +273,13 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 
     mats = stage_matrices(topo, scheme)[: len(config.pooling_locations)] \
         if scheme is not None else []
-    from .skeleton import normalized_adjacency
     adj_chain = [Tensor(normalized_adjacency(topo), dtype=dtype)]
     assign_chain = []
     for p, norm, _ in mats:
         assign_chain.append(Tensor(p, dtype=dtype))
         adj_chain.append(Tensor(norm, dtype=dtype))
 
-    ism = IsmParams.init(channels=config.ism_channels, rng=rng, dtype=dtype,
-                         name="ism") if config.ism else None
+    ism = IsmParams.init(config.ism_channels, rng=rng, dtype=dtype) if config.ism else None
 
     stages = []
     for plan in plans:
@@ -275,7 +287,6 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
         res_out = min(plan.index, len(mats))
         adj_in, adj_out = adj_chain[res_in], adj_chain[res_out]
         assignment = assign_chain[plan.index - 1] if plan.pooled else None
-        name = f"stage{plan.index}"
         if config.variant == "heavy":
             cfb = CrossFusionParams.init(
                 plan.c_in, plan.c_out, ratio=config.ratio, sigma=config.sigma,
@@ -283,21 +294,18 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
                 weight=config.fusion_weight,
                 adaptive=config.adaptive and plan.pooled,
                 residual_pool=config.residual_pool,
-                rng=rng, dtype=dtype, name=f"{name}.cfb")
+                rng=rng, dtype=dtype)
             stages.append(Stage(plan, assignment, adj_in, adj_out, cfb=cfb))
         else:
             pool = None
             if plan.pooled and config.adaptive:
                 pool = PoolingParams.init(plan.c_in, ratio=config.ratio,
-                                          sigma=config.sigma, rng=rng, dtype=dtype,
-                                          name=f"{name}.pool")
+                                          sigma=config.sigma, rng=rng, dtype=dtype)
             gcn = GraphConvParams.init(plan.c_in, plan.c_out,
-                                       kernel=config.temporal_kernel,
-                                       rng=rng, dtype=dtype, name=f"{name}.gcn")
+                                       kernel=config.temporal_kernel, rng=rng, dtype=dtype)
             stages.append(Stage(plan, assignment, adj_in, adj_out, pool=pool, gcn=gcn))
 
-    head = ClassifierHead.init(config.channels[-1], config.classes, rng=rng,
-                               dtype=dtype, name="head")
+    head = ClassifierHead.init(config.channels[-1], config.classes, rng=rng, dtype=dtype)
     return Model(config, topo, scheme, ism, stages, head, seed)
 
 
@@ -313,7 +321,7 @@ def save_checkpoint(model: Model, path: str) -> None:
     params = model.named_parameters()
     state = model.named_state()
     header = {
-        "config": model.config.to_dict(),
+        "config": config_doc(model.config),
         "seed": model.seed,
         "params": [{"name": n, "shape": list(p.shape), "dtype": _dtype_code(p.data)}
                    for n, p in params],
@@ -359,7 +367,7 @@ def load_checkpoint(path: str) -> Model:
     blob = take(hlen).tobytes()
     try:
         header = json.loads(blob.decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
+        config = config_from_doc(ModelConfig, header["config"])
         seed = int(header.get("seed", 0))
         sections = [[(m["name"], tuple(m["shape"]), m["dtype"]) for m in header[key]]
                     for key in ("params", "state")]

@@ -31,7 +31,7 @@ class PoolingParams:
 
     @classmethod
     def init(cls, channels: int, ratio: int = 4, sigma: str = "tanh",
-             rng=None, dtype=np.float32, name: str = "pool"):
+             rng=None, dtype=np.float32):
         if ratio < 1:
             raise ValueError("ratio must be >= 1")
         if channels % ratio != 0:
@@ -41,8 +41,8 @@ class PoolingParams:
         rng = rng if rng is not None else np.random.default_rng(0)
         proj = channels // ratio
         return cls(
-            w_phi=Parameter(T.glorot(rng, (channels, proj)), name=f"{name}.w_phi", dtype=dtype),
-            w_psi=Parameter(T.glorot(rng, (channels, proj)), name=f"{name}.w_psi", dtype=dtype),
+            w_phi=Parameter(T.glorot(rng, (channels, proj)), dtype=dtype),
+            w_psi=Parameter(T.glorot(rng, (channels, proj)), dtype=dtype),
             ratio=ratio, sigma=sigma)
 
 

@@ -73,13 +73,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a stable name and a weight-decay flag."""
+    """Trainable tensor with a weight-decay flag; its name is its `named_leaves` path."""
 
-    __slots__ = ("name", "decay")
+    __slots__ = ("decay",)
 
-    def __init__(self, data, name: str = "", decay: bool = True, dtype=None):
+    def __init__(self, data, decay: bool = True, dtype=None):
         super().__init__(data, dtype=dtype)
-        self.name = name
         self.decay = decay
 
     def assign(self, data: np.ndarray) -> None:
@@ -90,7 +89,7 @@ class Parameter(Tensor):
         self.data = arr
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape}, dtype={self.dtype.name})"
+        return f"Parameter(shape={self.shape}, dtype={self.dtype.name}, decay={self.decay})"
 
 
 def named_leaves(tree, prefix: str, kind: type) -> list[tuple[str, object]]:

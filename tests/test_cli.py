@@ -8,7 +8,8 @@ import pytest
 
 from skelpool.cli import main
 from skelpool.data import load_dataset, load_scores
-from skelpool.skeleton import parse_topology
+from skelpool.skeleton import (builtin_partition, builtin_topology, parse_topology,
+                               topology_doc)
 
 SUBCOMMANDS = ["synth", "train", "eval", "flops", "gradcheck", "fuse",
                "export-topology", "dump-attention"]
@@ -166,3 +167,83 @@ def test_half_frames_training(workdir):
                  "--half-frames"] + FAST_TRAIN) == 0
     config = json.loads((run / "config.json").read_text())
     assert config["model"]["frames"] == 4
+
+
+def test_config_precedence_defaults_then_file_then_flags(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"channels": [4, 8, 8], "ism_channels": 8, "sigma": "sigmoid"},
+        "train": {"epochs": 3, "base_lr": 0.01, "decay_steps": [2], "batch_size": 4}}))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(workdir / "train.json"), "--out", str(run),
+                 "--config", str(config), "--ism-channels", "4", "--epochs", "2",
+                 "--warmup", "1", "--decay-steps", "", "--no-augment"]) == 0
+    echoed = json.loads((run / "config.json").read_text())
+    model, train = echoed["model"], echoed["train"]
+    # file over defaults
+    assert model["channels"] == [4, 8, 8] and model["sigma"] == "sigmoid"
+    assert train["base_lr"] == 0.01 and train["batch_size"] == 4
+    # flags over the file
+    assert model["ism_channels"] == 4 and train["epochs"] == 2
+    assert train["decay_steps"] == [] and train["augment"] is False
+    # defaults where neither speaks; the data decides topology, classes, frames
+    assert model["ratio"] == 4 and train["momentum"] == 0.9 and train["warmup"] == 1
+    assert (model["topology"], model["classes"], model["frames"]) == ("uwa15", 3, 8)
+
+
+# (config document, exit code, subcommands that read the malformed part,
+#  the field or section the message must name)
+MALFORMED_CONFIGS = [
+    ({"model": {"ism": "false"}}, 2, ("train", "flops"), "ism"),
+    ({"model": {"ratio": True}}, 2, ("train", "flops"), "ratio"),
+    ({"model": {"channels": 5}}, 2, ("train", "flops"), "channels"),
+    ({"model": {"frames": True}}, 2, ("flops",), "frames"),
+    ({"model": [1, 2]}, 2, ("train", "flops"), "model"),
+    ({"model": "abc"}, 2, ("train", "flops"), "model"),
+    ({"modle": {}}, 2, ("train", "flops"), "modle"),
+    ({"train": {"augment": "no"}}, 2, ("train",), "augment"),
+    ({"train": {"epochs": 2.5}}, 2, ("train",), "epochs"),
+    ({"train": {"decay_steps": "35"}}, 2, ("train",), "decay_steps"),
+    ({"train": {"bogus": 1}}, 2, ("train",), "bogus"),
+    ({"train": 3}, 2, ("train",), "train"),
+    ([1, 2], 3, ("train", "flops"), None),
+]
+
+
+@pytest.mark.parametrize("command, doc, code, named", [
+    pytest.param(command, doc, code, named,
+                 id=f"{command}-{json.dumps(doc, separators=(',', ':'))}")
+    for doc, code, commands, named in MALFORMED_CONFIGS for command in commands])
+def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command, doc,
+                                             code, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    args = ["--config", str(config)]
+    if command == "train":  # no model or train flags: they would override the file
+        args += ["--data", str(workdir / "train.json"), "--out", str(tmp_path / "run")]
+    assert main([command] + args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if named:
+        assert f"'{named}'" in err
+
+
+@pytest.mark.parametrize("flags", [["flops", "--classes", "0"], ["flops", "--frames", "0"],
+                                   ["flops", "--channels", ""], ["train", "--frames", "0"]])
+def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
+    if flags[0] == "train":
+        flags = flags + ["--data", str(workdir / "train.json"),
+                         "--out", str(tmp_path / "run")] + FAST_TRAIN
+    assert main(flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):
+    doc = json.loads((workdir / "train.json").read_text())
+    doc["topology"] = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run)] + FAST_TRAIN) == 0
+    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")]) == 0

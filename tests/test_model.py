@@ -11,9 +11,10 @@ import pytest
 from skelpool.cli import main
 from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
-from skelpool.model import (ModelConfig, build_model, load_checkpoint,
-                            save_checkpoint, stage_plan)
+from skelpool.model import (ModelConfig, build_model, config_doc, config_from_doc,
+                            load_checkpoint, save_checkpoint, stage_plan)
 from skelpool.skeleton import SkeletonTopology, load_topology
+from skelpool.train import TrainConfig
 
 SLIM = dict(classes=8, frames=16, channels=(8, 16, 32), ism_channels=8)
 
@@ -151,10 +152,43 @@ class TestForward:
         assert sink == []
 
 
+class TestConfigDoc:
+    @pytest.mark.parametrize("cfg", [slim_config(variant="heavy", pooling_locations=()),
+                                     TrainConfig(decay_steps=(), early_stop_train_acc=0.9)])
+    def test_round_trip(self, cfg):
+        doc = config_doc(cfg)
+        assert json.loads(json.dumps(doc)) == doc  # plain JSON: tuples are lists
+        assert config_from_doc(type(cfg), doc) == cfg
+
+    @pytest.mark.parametrize("cls, doc", [
+        (ModelConfig, {"fusion_weight": 1}), (ModelConfig, {"channels": [4, 8, 8]}),
+        (TrainConfig, {"early_stop_train_acc": None}),
+        (TrainConfig, {"early_stop_train_acc": 1}),
+        (TrainConfig, {"rotate_max": 0.1, "seed": 5, "augment": False})])
+    def test_type_rule_accepts(self, cls, doc):
+        cfg = config_from_doc(cls, doc)
+        assert all(getattr(cfg, k) == (tuple(v) if isinstance(v, list) else v)
+                   for k, v in doc.items())
+
+    @pytest.mark.parametrize("cls, doc", [
+        (ModelConfig, {"ism": 0}), (ModelConfig, {"ratio": 2.0}),
+        (ModelConfig, {"ratio": True}), (ModelConfig, {"fusion_weight": True}),
+        (ModelConfig, {"channels": [4, True, 8]}),
+        (ModelConfig, {"sigma": None}), (TrainConfig, {"early_stop_train_acc": "0.9"}),
+        (TrainConfig, {"decay_steps": 35}), (TrainConfig, {"seed": None})])
+    def test_type_rule_rejects(self, cls, doc):
+        with pytest.raises(ValueError, match=f"config field '{next(iter(doc))}'"):
+            config_from_doc(cls, doc)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown config fields"):
+            config_from_doc(TrainConfig, {"epoch": 3})
+
+
 # defect -> the message that names it
 MALFORMED = {"short_header": "truncated", "trailing_bytes": "trailing bytes",
              "no_state": "state entries do not match", "unknown_dtype": "unknown dtype",
-             "state_shape": "shape"}
+             "state_shape": "shape", "config_type": "config field 'ism'"}
 
 
 def malformed_checkpoint(tmp_path, case: str) -> bytes:
@@ -178,6 +212,8 @@ def malformed_checkpoint(tmp_path, case: str) -> bytes:
         meta = header["state"][-1]
         blocks = blocks[: len(blocks) - 4 * (int(np.prod(meta["shape"])) - 1)]
         meta["shape"] = [1]
+    elif case == "config_type":
+        header["config"]["ism"] = "false"  # a string, not a bool
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return raw[:8] + struct.pack("<Q", len(blob)) + blob + blocks
 

@@ -154,7 +154,7 @@ def test_mixed_dtype_rejected():
 
 
 def test_parameter_assign_checks_shape():
-    p = Parameter(np.zeros((2, 3)), name="w")
+    p = Parameter(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         p.assign(np.zeros((3, 2)))
     p.assign(np.ones((2, 3)))

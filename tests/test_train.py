@@ -77,7 +77,7 @@ class TestSgdNesterov:
                           state, lr, momentum, wd)
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        p = Parameter(np.array([1.0, -2.0]), name="p")
+        p = Parameter(np.array([1.0, -2.0]))
         self.step(p, [0.0, 0.0], OptimizerState())
         assert np.array_equal(p.data, [1.0, -2.0])
 
@@ -85,7 +85,7 @@ class TestSgdNesterov:
         # hand evaluation: g=1 each step, lr=0.1, momentum=0.9
         # step 1: v=1,   update=1+0.9*1=1.9,    delta=-0.19
         # step 2: v=1.9, update=1+0.9*1.9=2.71, delta=-0.271
-        p = Parameter(np.array([0.0]), name="p")
+        p = Parameter(np.array([0.0]))
         state = OptimizerState()
         self.step(p, [1.0], state)
         assert p.data[0] == pytest.approx(-0.19, abs=1e-12)
@@ -93,7 +93,7 @@ class TestSgdNesterov:
         assert p.data[0] == pytest.approx(-0.19 - 0.271, abs=1e-12)
 
     def test_weight_decay_only_is_geometric_without_momentum(self):
-        p = Parameter(np.array([2.0]), name="p")
+        p = Parameter(np.array([2.0]))
         state = OptimizerState()
         lr, wd = 0.1, 0.5
         for k in range(1, 6):
@@ -101,7 +101,7 @@ class TestSgdNesterov:
             assert p.data[0] == pytest.approx(2.0 * (1 - lr * wd) ** k, rel=1e-12)
 
     def test_weight_decay_with_momentum_matches_reference_loop(self):
-        p = Parameter(np.array([1.5]), name="p")
+        p = Parameter(np.array([1.5]))
         state = OptimizerState()
         ref, v = 1.5, 0.0
         for _ in range(4):
@@ -112,17 +112,17 @@ class TestSgdNesterov:
             assert p.data[0] == pytest.approx(ref, rel=1e-12)
 
     def test_norm_parameters_skip_weight_decay(self):
-        gamma = Parameter(np.array([1.0]), name="gamma", decay=False)
+        gamma = Parameter(np.array([1.0]), decay=False)
         self.step(gamma, [0.0], OptimizerState(), wd=0.5)
         assert gamma.data[0] == 1.0
 
     def test_zero_learning_rate_is_identity(self):
-        p = Parameter(np.array([3.0, -1.0]), name="p")
+        p = Parameter(np.array([3.0, -1.0]))
         self.step(p, [5.0, -2.0], OptimizerState(), lr=0.0)
         assert np.array_equal(p.data, [3.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
-        p = Parameter(np.zeros(3), name="p")
+        p = Parameter(np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             self.step(p, [1.0, 1.0], OptimizerState())
 
