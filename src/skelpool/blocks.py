@@ -224,5 +224,5 @@ def global_average(x: Tensor) -> Tensor:
 
 
 def classifier_head(x: Tensor, head: ClassifierHead) -> Tensor:
-    """Logits from a (batch, channels, frames, nodes) feature map."""
-    return head.affine(global_average(x))
+    """Logits from a (batch, channels, frames, nodes) map or pooled (batch, channels)."""
+    return head.affine(global_average(x) if x.ndim == 4 else x)

@@ -22,7 +22,7 @@ from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (PartitionScheme, SkeletonTopology, load_topology,
                        normalized_adjacency, stage_matrices)
-from .tensor import Parameter, Tensor, named_leaves
+from .tensor import Parameter, Tensor, named_leaves, scope
 
 VARIANTS = ("light", "heavy")
 _MAGIC = b"SKPL"
@@ -139,7 +139,8 @@ class StagePlan:
 
 def stage_plan(config: ModelConfig, topology: SkeletonTopology,
                scheme: PartitionScheme | None) -> list[StagePlan]:
-    """Shape trajectory through the three stages (shared by build and MAC count)."""
+    """Shape trajectory through the three stages, from which `build_model` sizes
+    each stage's blocks; a scheme too short for the pooling locations is an error."""
     config.validate()
     pooled_stages = len(config.pooling_locations)
     if pooled_stages > 0:
@@ -157,13 +158,6 @@ def stage_plan(config: ModelConfig, topology: SkeletonTopology,
         n_out = counts[i] if pooled else n
         t_out = -(-t // 2) if pooled else t
         c_out = config.channels[i - 1]
-        if pooled and config.adaptive and c % config.ratio != 0:
-            raise ValueError(f"stage {i} pools {c} channels, not divisible by "
-                             f"ratio {config.ratio}")
-        if (pooled and config.adaptive and config.variant == "heavy"
-                and c_out % config.ratio != 0):
-            raise ValueError(f"stage {i} fine branch has {c_out} channels, not "
-                             f"divisible by ratio {config.ratio}")
         plans.append(StagePlan(i, pooled, c, c_out, n, n_out, t, t_out))
         n, t, c = n_out, t_out, c_out
     return plans
@@ -230,37 +224,37 @@ class Model:
         if x.ndim != 4 or x.shape[1:] != expect:
             raise ValueError(f"input shape {x.shape} does not match (batch, {expect[0]}, "
                              f"{expect[1]}, {expect[2]})")
+        return self.logits(x, train, corr_out)
 
-        h = x
+    def logits(self, h: Tensor, train: bool, corr_out: list | None = None) -> Tensor:
+        """The network on a checked input tensor; each block runs in its `scope`
+        (`ism`, `stage1`..`stage3`, `head`), which names its operators."""
         if self.ism is not None:
-            h = information_supplement(h, self.ism, self.topology,
-                                       self.stages[0].adj_in, train)
+            with scope("ism"):
+                h = information_supplement(h, self.ism, self.topology,
+                                           self.stages[0].adj_in, train)
         for stage in self.stages:
             stage_corr: list = []
-            last = stage.plan.index == 3
-            if stage.cfb is not None:  # heavy
-                if last:
+            with scope(f"stage{stage.plan.index}"):
+                if stage.cfb is not None and stage.plan.index == 3:  # heavy: fuse after pooling
                     hb, eb = cross_fusion_split(h, stage.cfb, stage.assignment,
                                                 stage.adj_out, stage.adj_in, train,
                                                 corr_out=stage_corr)
-                    fused = fuse_branches(global_average(hb), global_average(eb),
-                                          stage.cfb)
-                    logits = self.head.affine(fused)
-                else:
+                    h = fuse_branches(global_average(hb), global_average(eb), stage.cfb)
+                elif stage.cfb is not None:  # heavy
                     h = cross_fusion_block(h, stage.cfb, stage.assignment,
                                            stage.adj_out, stage.adj_in, train,
                                            corr_out=stage_corr)
-            else:  # light
-                if stage.plan.pooled:
-                    h = st_pool(h, stage.pool, stage.assignment,
-                                residual=self.config.residual_pool,
-                                corr_out=stage_corr)
-                h = gcn_block(h, stage.gcn, stage.adj_out, train)
-                if last:
-                    logits = classifier_head(h, self.head)
+                else:  # light
+                    if stage.plan.pooled:
+                        h = st_pool(h, stage.pool, stage.assignment,
+                                    residual=self.config.residual_pool,
+                                    corr_out=stage_corr)
+                    h = gcn_block(h, stage.gcn, stage.adj_out, train)
             if corr_out is not None and stage_corr:
                 corr_out.append((stage.plan.index, stage_corr[0].data.copy()))
-        return logits
+        with scope("head"):
+            return classifier_head(h, self.head)
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:

@@ -258,23 +258,29 @@ def topology_doc(topology: SkeletonTopology, scheme: PartitionScheme | None = No
 
 
 def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]:
-    try:
-        topo = SkeletonTopology(
-            name=str(doc["name"]),
-            node_count=int(doc["node_count"]),
-            edges=tuple((int(a), int(b)) for a, b in doc["edges"]),
-            parents={int(j): int(p) for j, p in doc["parents"].items()}
-            if "parents" in doc else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"topology document missing field {exc}") from None
-    scheme = None
-    if "stages" in doc:
-        stages = tuple(
-            tuple((tuple(int(m) for m in row["members"]), int(row["new_id"])) for row in stage)
-            for stage in doc["stages"]
-        )
-        scheme = PartitionScheme(name=topo.name, node_count=topo.node_count, stages=stages)
+    """The topology of a document and, when it lists `stages`, its partition
+    scheme. A missing or malformed field raises ValueError naming the field."""
+    def field(key, read):
+        if key in ("parents", "stages") and key not in doc:  # the optional fields
+            return None
+        try:
+            return read(doc[key])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"topology field '{key}' is missing or malformed "
+                             f"({exc!r})") from None
+
+    if not isinstance(doc, dict):
+        raise ValueError(f"topology document must be a JSON object, not {doc!r}")
+    topo = SkeletonTopology(
+        name=field("name", str),
+        node_count=field("node_count", int),
+        edges=field("edges", lambda v: tuple((int(a), int(b)) for a, b in v)),
+        parents=field("parents", lambda v: {int(j): int(p) for j, p in v.items()}),
+    )
+    stages = field("stages", lambda v: tuple(
+        tuple((tuple(int(m) for m in row["members"]), int(row["new_id"])) for row in stage)
+        for stage in v))
+    scheme = None if stages is None else PartitionScheme(topo.name, topo.node_count, stages)
     return topo, scheme
 
 

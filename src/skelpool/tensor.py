@@ -11,10 +11,12 @@ finite-difference suite in `gradcheck`.
 Recording: operators executed inside a `with Tape() as t:` block append one
 entry each (operator id, input refs, output ref, replayable forward closure,
 backward closure). Outside a tape, operators just compute values (eval mode).
+`shape_record` records shapes instead; `scope` names the block that runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from typing import Callable, Iterable, Sequence
@@ -25,11 +27,13 @@ DEFAULT_DTYPE = np.float32
 
 
 class NonFiniteError(ArithmeticError):
-    """An operator produced a NaN or infinity; carries the operator id."""
+    """An operator produced a NaN or infinity; carries the operator id and its
+    block path (the open `scope` names, "" outside every scope)."""
 
-    def __init__(self, op: str):
-        super().__init__(f"non-finite values produced by operator '{op}'")
-        self.op = op
+    def __init__(self, op: str, path: str):
+        super().__init__(f"non-finite values produced by operator '{op}'"
+                         + (f" in {path}" if path else ""))
+        self.op, self.path = op, path
 
 
 class Tensor:
@@ -157,13 +161,37 @@ class Tape:
 
 
 _ACTIVE_TAPE: Tape | None = None
+_RECORD: list | None = None
+_SCOPE: list[str] = []
+
+
+@contextlib.contextmanager
+def scope(name: str):
+    """Name a block: operators run inside it carry `name` in their dotted block path."""
+    _SCOPE.append(name)
+    try:
+        yield
+    finally:
+        _SCOPE.pop()
+
+
+@contextlib.contextmanager
+def shape_record():
+    """Yield a list that gets (block path, operator id, input shapes, output
+    shape) per operator run inside; an active tape records nothing meanwhile."""
+    global _ACTIVE_TAPE, _RECORD
+    saved, _ACTIVE_TAPE, _RECORD = (_ACTIVE_TAPE, _RECORD), None, []
+    try:
+        yield _RECORD
+    finally:
+        _ACTIVE_TAPE, _RECORD = saved
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
     # Element-wise, not through a sum: large finite values cannot overflow it,
     # numpy has nothing to warn about, and it is no slower than `arr.sum()`.
     if not np.isfinite(arr).all():
-        raise NonFiniteError(op)
+        raise NonFiniteError(op, ".".join(_SCOPE))
 
 
 def _apply(op: str, inputs: tuple[Tensor, ...], forward: Callable, backward: Callable) -> Tensor:
@@ -173,6 +201,8 @@ def _apply(op: str, inputs: tuple[Tensor, ...], forward: Callable, backward: Cal
     out.data = out_arr
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.entries.append(TapeEntry(op, inputs, out, forward, backward))
+    elif _RECORD is not None:
+        _RECORD.append((".".join(_SCOPE), op, tuple(t.shape for t in inputs), out_arr.shape))
     return out
 
 

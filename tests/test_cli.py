@@ -229,13 +229,47 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("flags", [["flops", "--classes", "0"], ["flops", "--frames", "0"],
-                                   ["flops", "--channels", ""], ["train", "--frames", "0"]])
+                                   ["flops", "--channels", ""], ["train", "--frames", "0"],
+                                   ["train", "--lr", "-1"], ["train", "--lr", "0"],
+                                   ["train", "--decay-factor", "0"],
+                                   ["train", "--decay-factor", "1.5"],
+                                   ["train", "--weight-decay", "-1"],
+                                   ["train", "--rotate-max", "-1"]])
 def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
-    if flags[0] == "train":
-        flags = flags + ["--data", str(workdir / "train.json"),
-                         "--out", str(tmp_path / "run")] + FAST_TRAIN
+    if flags[0] == "train":  # the flag under test comes last, so it overrides FAST_TRAIN
+        flags = ["train", "--data", str(workdir / "train.json"),
+                 "--out", str(tmp_path / "run")] + FAST_TRAIN + flags[1:]
     assert main(flags) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# (malformed topology document, the field the message must name)
+MALFORMED_TOPOLOGIES = [
+    ({"name": "x", "node_count": 3, "edges": 5}, "edges"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2, 3]]}, "edges"),
+    ({"name": "x", "node_count": "two", "edges": [[1, 2]]}, "node_count"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": [1]}, "parents"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "stages": [[{"members": 5}]]},
+     "stages"),
+    ({"node_count": 2, "edges": [[1, 2]]}, "name"),
+]
+
+
+@pytest.mark.parametrize("doc, named", MALFORMED_TOPOLOGIES)
+def test_malformed_topology_document_exits_with_message(workdir, tmp_path, capsys, doc,
+                                                        named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"topology": doc}}))
+    assert main(["flops", "--config", str(config)]) == 2
+    assert f"'{named}'" in capsys.readouterr().err
+    dataset = json.loads((workdir / "train.json").read_text())
+    dataset["topology"] = doc
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps(dataset))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                + FAST_TRAIN) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:") and f"'{named}'" in err
 
 
 def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):

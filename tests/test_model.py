@@ -11,9 +11,10 @@ import pytest
 from skelpool.cli import main
 from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
-from skelpool.model import (ModelConfig, build_model, config_doc, config_from_doc,
+from skelpool.model import (Model, ModelConfig, build_model, config_doc, config_from_doc,
                             load_checkpoint, save_checkpoint, stage_plan)
 from skelpool.skeleton import SkeletonTopology, load_topology
+from skelpool.tensor import NonFiniteError, Tape, Tensor, relu
 from skelpool.train import TrainConfig
 
 SLIM = dict(classes=8, frames=16, channels=(8, 16, 32), ism_channels=8)
@@ -150,6 +151,15 @@ class TestForward:
         sink = []
         assert model.forward(rand_batch(cfg), corr_out=sink).shape == (2, 8)
         assert sink == []
+
+    def test_non_finite_value_names_its_block(self):
+        model = build_model(slim_config(), seed=0)
+        w = model.stages[1].gcn.w_spatial
+        w.assign(np.full(w.shape, np.nan, dtype=w.dtype))
+        with pytest.raises(NonFiniteError) as exc:
+            model.forward(rand_batch(model.config))
+        assert (exc.value.op, exc.value.path) == ("conv1x1", "stage2")
+        assert str(exc.value).endswith("operator 'conv1x1' in stage2")
 
 
 class TestConfigDoc:
@@ -306,3 +316,22 @@ class TestFlops:
         on = count_flops(slim_config(adaptive=True)).total
         off = count_flops(slim_config(adaptive=False)).total
         assert off < on
+
+    @pytest.mark.parametrize("variant, total", [("light", 36_656_784), ("heavy", 147_915_488)])
+    def test_paper_config_totals_are_pinned(self, variant, total):
+        assert count_flops(ModelConfig(variant=variant)).total == total
+
+    def test_counting_inside_a_tape_leaves_it_unchanged(self):
+        x = Tensor(np.ones(3))
+        with Tape() as tape:
+            report = count_flops(slim_config())
+            assert len(tape) == 0
+            relu(x)  # the tape records again once the count is done
+        assert len(tape) == 1 and report.total == count_flops(slim_config()).total
+
+    def test_counting_does_not_call_forward(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_flops called Model.forward")
+
+        monkeypatch.setattr(Model, "forward", refuse)
+        assert count_flops(slim_config(variant="heavy")).total > 0
