@@ -73,16 +73,41 @@ def save_dataset(ds: Dataset, path: str) -> None:
         json.dump(doc, fh)
 
 
+_JSON_TYPES = {str: "string", int: "integer", list: "array", dict: "object"}
+
+
+def _field(doc, key: str, types: tuple, where: str):
+    """`doc[key]`, whose JSON type must be one of `types` (a bool is not an int);
+    a missing or wrongly typed field raises ValueError naming it."""
+    value = doc.get(key) if type(doc) is dict else None
+    if type(value) not in types:
+        want = " or ".join(_JSON_TYPES[t] for t in types)
+        raise ValueError(f"{where} field '{key}' is missing or not a JSON {want}")
+    return value
+
+
+def _sequence(doc, i: int) -> LabeledSequence:
+    where = f"sample {i}"
+    frames = _field(doc, "frames", (list,), where)
+    try:
+        frames = np.asarray(frames, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} field 'frames' is not a numeric array") from None
+    return LabeledSequence(frames=frames, label=_field(doc, "label", (int,), where),
+                           id=str(_field(doc, "id", (str, int), where)))
+
+
 def load_dataset(path: str) -> Dataset:
+    """Read a dataset file; a missing or wrongly typed field raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    topo, _ = load_topology(doc["topology"])
+    topology = _field(doc, "topology", (str, dict), "dataset")
+    topo, _ = load_topology(topology)
     ds = Dataset(
-        topology=doc["topology"], classes=list(doc["classes"]),
-        split=doc.get("split", "train"),
-        sequences=[LabeledSequence(frames=np.asarray(s["frames"], dtype=np.float64),
-                                   label=int(s["label"]), id=str(s["id"]))
-                   for s in doc["samples"]])
+        topology=topology, classes=_field(doc, "classes", (list,), "dataset"),
+        split=_field(doc, "split", (str,), "dataset") if "split" in doc else "train",
+        sequences=[_sequence(s, i)
+                   for i, s in enumerate(_field(doc, "samples", (list,), "dataset"))])
     _validate(ds, topo)
     return ds
 

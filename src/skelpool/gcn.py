@@ -59,10 +59,18 @@ def batch_normalize(x: Tensor, norm: BatchNorm, train: bool) -> Tensor:
 
 
 def spatial_graph_conv(x: Tensor, w: Tensor, adjacency: Tensor) -> Tensor:
-    """Pointwise channel update followed by neighbor aggregation over the graph."""
+    """Pointwise channel update and neighbor aggregation over the graph.
+
+    The channel map acts on axis 1 and the adjacency on the node axis, so the
+    two commute: the adjacency is applied on the narrower side, after the
+    channel map when it narrows or keeps the width (conv1x1, then matmul) and
+    before it when it widens (matmul, then conv1x1).
+    """
     n = x.shape[3]
     if adjacency.shape != (n, n):
         raise ValueError(f"adjacency {adjacency.shape} does not match {n} nodes")
+    if w.shape[0] < w.shape[1]:
+        return T.conv1x1(T.matmul(x, adjacency), w)
     return T.matmul(T.conv1x1(x, w), adjacency)
 
 

@@ -49,6 +49,12 @@ class PoolingParams:
 def correlation(x: Tensor, params: PoolingParams) -> Tensor:
     """Per-frame, per-node mean embedding similarity to all nodes, normalized.
 
+    The similarity of node i to node j is <u_i, v_j> with u = W_phi^T x and
+    v = W_psi^T x. Its mean over j is <u_i, W_psi^T mean_j x_j>, so psi
+    projects only the node-mean of the input, (batch, channels, frames, 1),
+    and one batched product per frame pairs it with every u_i; no
+    (batch, frames, nodes, nodes) similarity tensor is formed.
+
     Returns a (batch, frames, nodes) field; with tanh every value lies in
     (-1, 1), with softmax each frame's values sum to 1 over nodes.
     """
@@ -57,12 +63,13 @@ def correlation(x: Tensor, params: PoolingParams) -> Tensor:
     if x.shape[1] != params.w_phi.shape[0]:
         raise ValueError(f"input channels {x.shape[1]} do not match projection "
                          f"{params.w_phi.shape}")
+    b, c, t, n = x.shape
     u = T.conv1x1(x, params.w_phi)                 # (B, P, T, N)
-    v = T.conv1x1(x, params.w_psi)
+    x_mean = T.reshape(T.tmean(x, axes=(3,)), (b, c, t, 1))
+    v_mean = T.conv1x1(x_mean, params.w_psi)       # (B, P, T, 1) = mean_j v_j
     ut = T.transpose(u, (0, 2, 3, 1))              # (B, T, N, P)
-    vt = T.transpose(v, (0, 2, 1, 3))              # (B, T, P, N)
-    sim = T.matmul(ut, vt)                         # (B, T, N, N) inner products
-    mean = T.tmean(sim, axes=(3,))                 # mean over the partner node
+    vt = T.transpose(v_mean, (0, 2, 1, 3))         # (B, T, P, 1)
+    mean = T.reshape(T.matmul(ut, vt), (b, t, n))  # mean similarity to all nodes
     if params.sigma == "tanh":
         return T.tanh(mean)
     if params.sigma == "sigmoid":
@@ -74,8 +81,12 @@ def spatial_pool(x: Tensor, corr: Tensor | None, assignment: Tensor,
                  residual: bool = True) -> Tensor:
     """Contract nodes onto regions: sum of member features weighted by 1 + corr.
 
-    With `corr=None` the correlation term is dropped (plain structural
-    pooling); with `residual=False` only the correlation-weighted path remains.
+    The weight 1 + corr is formed on the (batch, frames, nodes) field and
+    broadcast over channels once, so the input is multiplied by one weight
+    map, (x * (1 + corr)) @ assignment, rather than added to its weighted
+    copy. With `corr=None` the correlation term is dropped (plain structural
+    pooling); with `residual=False` only the correlation-weighted path
+    remains, (x * corr) @ assignment.
     """
     if x.ndim != 4:
         raise ValueError("spatial_pool expects a 4-D feature map")
@@ -86,10 +97,10 @@ def spatial_pool(x: Tensor, corr: Tensor | None, assignment: Tensor,
         return T.matmul(x, assignment)
     if corr.shape != (b, t, n):
         raise ValueError(f"correlation field {corr.shape} != {(b, t, n)}")
+    if residual:
+        corr = T.add(corr, Tensor(np.ones(corr.shape, dtype=corr.dtype)))
     weights = T.expand(T.reshape(corr, (b, 1, t, n)), (b, c, t, n))
-    weighted = T.mul(x, weights)
-    pre = T.add(x, weighted) if residual else weighted
-    return T.matmul(pre, assignment)
+    return T.matmul(T.mul(x, weights), assignment)
 
 
 def st_pool(x: Tensor, params: PoolingParams | None, assignment: Tensor,

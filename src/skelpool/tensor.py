@@ -368,16 +368,26 @@ def tsum(x: Tensor, axes=None) -> Tensor:
 
 
 def tmean(x: Tensor, axes=None) -> Tensor:
-    """Mean over the given axes (all axes when None)."""
+    """Mean over the given axes (all axes when None).
+
+    Trailing axes (the node axis, or frames and nodes) are summed as one BLAS
+    matrix-vector product of the input viewed as (rest, reduced) against a
+    ones vector, then divided by the count, as in `channel_moments`; other
+    axes use numpy's mean.
+    """
     ax = _norm_axes(axes, x.ndim)
-    count = 1
-    for a in ax:
-        count *= x.shape[a]
+    count = math.prod(x.shape[a] for a in ax)
+    rows = x.shape[:x.ndim - len(ax)]
 
-    def bwd(g, ins, out):
-        return (_expand_reduced(g, ins[0].shape, ax).astype(g.dtype) / count,)
+    def trailing_mean(xd):
+        return (xd.reshape(rows + (count,)) @ np.ones(count, dtype=xd.dtype)) / count
 
-    return _apply("mean", (x,), lambda xd: xd.mean(axis=ax), bwd)
+    def bwd(g, ins, out):  # divided before the broadcast: one pass over the input size
+        return (_expand_reduced(g / count, ins[0].shape, ax).astype(g.dtype),)
+
+    trailing = ax == tuple(range(len(rows), x.ndim))
+    return _apply("mean", (x,), trailing_mean if trailing else lambda xd: xd.mean(axis=ax),
+                  bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +724,10 @@ def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientS
         seen.add(id(leaf))
 
     grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=output.dtype)}
+    # Tensors whose accumulated gradient is an array this loop allocated (a
+    # sum); only those are added into in place. A backward may return views
+    # of its inputs, or one array for two inputs (`add`), which stay untouched.
+    owned: set[int] = set()
     for entry in reversed(tape.entries):
         g = grads.pop(id(entry.output), None)
         if g is None:
@@ -721,7 +735,14 @@ def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientS
         in_grads = entry.backward(g, tuple(t.data for t in entry.inputs), entry.output.data)
         for t, ig in zip(entry.inputs, in_grads):
             acc = grads.get(id(t))
-            grads[id(t)] = ig if acc is None else acc + ig
+            if acc is None:
+                grads[id(t)] = ig
+            elif id(t) in owned:
+                acc += ig
+            else:
+                grads[id(t)] = acc = acc + ig
+                if isinstance(acc, np.ndarray):  # a 0-d sum is a numpy scalar
+                    owned.add(id(t))
 
     pairs, unreached = [], []
     for leaf in leaves:

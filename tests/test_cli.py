@@ -281,3 +281,45 @@ def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):
     assert main(["train", "--data", str(data), "--out", str(run)] + FAST_TRAIN) == 0
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
                  "--out", str(tmp_path / "s.csv")]) == 0
+
+
+_SAMPLE = {"id": "s", "label": 0, "frames": np.zeros((2, 15, 3)).tolist()}
+
+# (malformed dataset document, the field the message must name)
+MALFORMED_DATASETS = [
+    ({"classes": [0], "samples": []}, "topology"),
+    ({"topology": 5, "classes": ["a"], "samples": [_SAMPLE]}, "topology"),
+    ({"topology": "uwa15", "samples": [_SAMPLE]}, "classes"),
+    ({"topology": "uwa15", "classes": "ab", "samples": [_SAMPLE]}, "classes"),
+    ({"topology": "uwa15", "classes": ["a"]}, "samples"),
+    ({"topology": "uwa15", "classes": ["a"], "samples": {"s": _SAMPLE}}, "samples"),
+    ({"topology": "uwa15", "classes": ["a"],
+      "samples": [{k: v for k, v in _SAMPLE.items() if k != "frames"}]}, "frames"),
+    ({"topology": "uwa15", "classes": ["a"], "samples": [{**_SAMPLE, "frames": [["x"]]}]},
+     "frames"),
+    ({"topology": "uwa15", "classes": ["a"],
+      "samples": [{k: v for k, v in _SAMPLE.items() if k != "label"}]}, "label"),
+    ({"topology": "uwa15", "classes": ["a"], "samples": [{**_SAMPLE, "label": "0"}]},
+     "label"),
+    ({"topology": "uwa15", "classes": ["a"],
+      "samples": [{k: v for k, v in _SAMPLE.items() if k != "id"}]}, "id"),
+    ({"topology": "uwa15", "classes": ["a"], "split": 1, "samples": [_SAMPLE]}, "split"),
+    ([1, 2], "topology"),
+]
+
+
+@pytest.mark.parametrize("doc, named", MALFORMED_DATASETS)
+def test_malformed_dataset_exits_3_with_message(tmp_path, capsys, doc, named):
+    from skelpool.model import ModelConfig, build_model, save_checkpoint
+
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(topology="uwa15", classes=3, frames=8,
+                                            channels=(4, 8, 8), ism_channels=4)), str(ckpt))
+    for args in (["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN,
+                 ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                  "--out", str(tmp_path / "s.csv")]):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:") and f"'{named}'" in err

@@ -57,6 +57,30 @@ class TestSpatialGraphConv:
             spatial_graph_conv(rand((1, 3, 2, 4), seed=6), Tensor(np.eye(3)),
                                Tensor(np.eye(3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in, c_out", [(3, 7), (7, 3), (5, 5)])
+    def test_either_operator_order_matches_einsum(self, dtype, c_in, c_out):
+        # widening maps aggregate first, the others map channels first
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.standard_normal((2, c_in, 3, 6)).astype(dtype))
+        w = Tensor(rng.standard_normal((c_in, c_out)).astype(dtype))
+        adj = Tensor(rng.standard_normal((6, 6)).astype(dtype))
+        r = rng.standard_normal((2, c_out, 3, 6)).astype(dtype)
+        with T.Tape() as tape:
+            out = spatial_graph_conv(x, w, adj)
+            loss = T.tsum(T.mul(out, Tensor(r)))
+        record = [e.op for e in tape.entries[:2]]
+        assert record == (["matmul", "conv1x1"] if c_in < c_out else ["conv1x1", "matmul"])
+        gs = T.gradients(tape, loss, [x, w, adj])
+        xd, wd, ad = (t.data.astype(np.float64) for t in (x, w, adj))
+        tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-10,
+                                                                          atol=1e-10)
+        np.testing.assert_allclose(out.data, np.einsum("bctn,co,nm->botm", xd, wd, ad), **tol)
+        np.testing.assert_allclose(gs[x].data, np.einsum("botm,co,nm->bctn", r, wd, ad), **tol)
+        np.testing.assert_allclose(gs[w].data, np.einsum("bctn,nm,botm->co", xd, ad, r), **tol)
+        np.testing.assert_allclose(gs[adj].data, np.einsum("bctn,co,botm->nm", xd, wd, r),
+                                   **tol)
+
 
 class TestTemporalConv:
     def test_kernel_one_identity_weight(self):

@@ -152,6 +152,30 @@ class TestForward:
         assert model.forward(rand_batch(cfg), corr_out=sink).shape == (2, 8)
         assert sink == []
 
+    @pytest.mark.parametrize("variant", ["light", "heavy"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_f32_logits_match_an_f64_copy(self, variant, train):
+        # an f32 model stays within 1e-4 x (1 + |f64 logit|) of its f64 copy,
+        # with batch moments and with saved ones
+        cfg = slim_config(variant=variant)
+        m32 = build_model(cfg, seed=9)
+        m64 = build_model(dataclasses.replace(cfg, dtype="f64"), seed=9)
+        rng = np.random.default_rng(10)
+        m32.head.w.assign(rng.normal(0.0, 0.5, m32.head.w.shape))  # zero-init head
+        m32.head.b.assign(rng.normal(0.0, 0.1, m32.head.b.shape))  # would mask the trunk
+        for name, arr in m32.named_state():
+            arr[...] = (rng.uniform(0.5, 2.0, arr.shape) if name.endswith("running_var")
+                        else rng.normal(0.0, 0.1, arr.shape))
+        for (_, p64), (_, p32) in zip(m64.named_parameters(), m32.named_parameters()):
+            p64.assign(p32.data.astype(np.float64))
+        for (_, s64), (_, s32) in zip(m64.named_state(), m32.named_state()):
+            s64[...] = s32
+        x = rand_batch(cfg, batch=4, seed=11)
+        got = m32.forward(x.astype(np.float32), train=train).data
+        want = m64.forward(x, train=train).data
+        assert np.ptp(want) > 0.1
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-4
+
     def test_non_finite_value_names_its_block(self):
         model = build_model(slim_config(), seed=0)
         w = model.stages[1].gcn.w_spatial
@@ -317,7 +341,7 @@ class TestFlops:
         off = count_flops(slim_config(adaptive=False)).total
         assert off < on
 
-    @pytest.mark.parametrize("variant, total", [("light", 36_656_784), ("heavy", 147_915_488)])
+    @pytest.mark.parametrize("variant, total", [("light", 31_595_968), ("heavy", 138_190_784)])
     def test_paper_config_totals_are_pinned(self, variant, total):
         assert count_flops(ModelConfig(variant=variant)).total == total
 

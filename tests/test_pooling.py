@@ -73,6 +73,15 @@ class TestCorrelation:
         want = loop_correlation(x, params.w_phi.data, params.w_psi.data)
         assert np.abs(got - want).max() <= 1e-9
 
+    def test_forms_no_node_by_node_tensor(self):
+        # the node-mean identity pairs each node with one mean vector per frame
+        params = make_params(8, 4, seed=12)
+        with T.shape_record() as record:
+            correlation(Tensor(np.ones((2, 8, 3, 5))), params)
+        assert all(out[-2:] != (5, 5) for _, _, _, out in record)
+        assert ("matmul", ((2, 3, 5, 2), (2, 3, 2, 1)), (2, 3, 5, 1)) in \
+            [(op, ins, out) for _, op, ins, out in record]
+
     def test_softmax_sigma_sums_to_one_over_nodes(self):
         params = make_params(8, 4, seed=5, sigma="softmax")
         x = Tensor(np.random.default_rng(6).standard_normal((2, 8, 3, 5)))

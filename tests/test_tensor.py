@@ -327,3 +327,36 @@ def test_batch_norm_train_matches_numpy_moments(dtype):
     np.testing.assert_allclose(T.batch_norm_train(x, g, b).data, want, **_tol(dtype))
     np.testing.assert_allclose(T.batch_norm_train(x, g, b, moments=(mu, v)).data, want,
                                **_tol(dtype))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,axes", [((3, 5, 4, 6), (3,)), ((3, 5, 4, 6), (2, 3)),
+                                        ((3, 5, 4, 6), None), ((4, 7), (1,)),
+                                        ((3, 5, 4, 6), (1,)), ((3, 5, 4, 6), (0, 2))])
+def test_tmean_matches_numpy_mean(dtype, shape, axes):
+    # trailing axes take the matrix-vector path, other axes numpy's mean
+    x = Tensor(np.random.default_rng(28).standard_normal(shape).astype(dtype))
+    out, r, (gx,) = _fwd_and_grads(lambda a: T.tmean(a, axes=axes), [x], seed=29)
+    want = x.data.mean(axis=axes)
+    assert out.shape == want.shape and out.dtype == dtype
+    np.testing.assert_allclose(out, want, **_tol(dtype))
+    reduced = tuple(range(len(shape))) if axes is None else axes
+    count = np.prod([shape[a] for a in reduced])
+    np.testing.assert_allclose(gx, np.broadcast_to(np.expand_dims(r, reduced), shape) / count,
+                               **_tol(dtype))
+
+
+def test_fan_out_accumulation_leaves_shared_gradients_intact():
+    # Each `add` hands one gradient array to both its inputs, so x, y and
+    # every tensor between them first receive the same array. y fans out three
+    # times: its second term makes a new sum, its third is added into that sum
+    # in place, and the array x still holds must stay as it was.
+    x, y = scalar([1.0, 2.0]), scalar([3.0, -1.0])
+    with Tape() as tape:
+        q = T.scale(y, 2.0)
+        p = T.scale(y, 3.0)
+        s = T.add(x, y)
+        loss = T.tsum(T.add(T.add(s, p), q))
+    gs = gradients(tape, loss, [x, y])
+    np.testing.assert_array_equal(gs[x].data, [1.0, 1.0])
+    np.testing.assert_array_equal(gs[y].data, [6.0, 6.0])
