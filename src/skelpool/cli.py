@@ -12,17 +12,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import data as D
 from . import train as TR
-from .blocks import FUSION_MODES
 from .flops import count_flops, no_pooling_control
 from .gradcheck import run_all
-from .model import (VARIANTS, ModelConfig, build_model, config_doc, config_from_doc,
+from .model import (FIELD_CHOICES, ModelConfig, build_model, config_doc, config_from_doc,
                     load_checkpoint, save_checkpoint)
-from .pooling import SIGMAS
 from .skeleton import builtin_names, builtin_partition, builtin_topology, topology_doc
 from .tensor import NonFiniteError
 
@@ -67,7 +66,7 @@ def _load_checkpoint(path: str):
         raise CliError(3, str(exc)) from exc
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:  # argparse: "invalid int_list value"
     return tuple(int(v) for v in text.split(",") if v != "")
 
 
@@ -75,10 +74,48 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v != "")
 
 
-def _resolve(file_section: dict, flag_overrides: dict) -> dict:
-    """The file section, then every flag that was given (not None); the fields
-    that neither sets keep their dataclass defaults in `config_from_doc`."""
-    return {**file_section, **{k: v for k, v in flag_overrides.items() if v is not None}}
+# config fields whose flag is not `--<field-name>`, and the help of some flags
+_SHORT_FLAGS = {"temporal_kernel": "kernel", "base_lr": "lr",
+                "early_stop_train_acc": "early-stop"}
+_HELP = {
+    "channels": "per-stage widths, e.g. 64,128,256",
+    "pooling_locations": "pooled stage prefix, e.g. 1,2,3",
+    "ratio": "correlation projection reduction",
+    "temporal_kernel": "temporal kernel size (odd)",
+    "early_stop_train_acc": "stop after the first epoch whose in-epoch train accuracy "
+                            "and eval-mode accuracy on the training set both reach "
+                            "this value",
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls, skip=(), helps=_HELP) -> None:
+    """One flag per field of the config dataclass `cls`, storing under the field's
+    name: `--<field-name>`, or `--no-<field-name>` for a bool that defaults to true.
+    The value parses as the type of the field's default: a tuple as comma-separated
+    integers, a None default as a float."""
+    choices = {**FIELD_CHOICES, "topology": builtin_names()}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        short = _SHORT_FLAGS.get(f.name)
+        flag = short or f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(f"--no-{flag}" if f.default else f"--{flag}", dest=f.name,
+                           action="store_const", const=not f.default,
+                           help=helps.get(f.name))
+        else:
+            kind = (int_list if isinstance(f.default, tuple)
+                    else float if f.default is None else type(f.default))
+            p.add_argument(f"--{flag}", dest=f.name, type=kind, choices=choices.get(f.name),
+                           metavar=short and short.replace("-", "_").upper(),
+                           help=helps.get(f.name))
+
+
+def _config_flags(args, cls) -> dict:
+    """The fields of `cls` whose flag was given; the file section they override and
+    the dataclass defaults supply the rest in `config_from_doc`."""
+    return {f.name: value for f in fields(cls)
+            if (value := getattr(args, f.name, None)) is not None}
 
 
 def _echo_config(doc: dict, out_dir: str | None = None) -> None:
@@ -105,40 +142,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _model_dict_from_flags(args) -> dict:
-    return {
-        "variant": args.variant,
-        "channels": _parse_ints(args.channels) if args.channels is not None else None,
-        "pooling_locations": _parse_ints(args.pooling_locations)
-        if args.pooling_locations is not None else None,
-        "ratio": args.ratio, "sigma": args.sigma,
-        "fusion_weight": args.fusion_weight, "fusion_mode": args.fusion_mode,
-        "temporal_kernel": args.kernel,
-        "ism": False if args.no_ism else None,
-        "ism_channels": args.ism_channels,
-        "adaptive": False if args.no_adaptive else None,
-        "residual_pool": False if args.no_residual_pool else None,
-        "dtype": args.dtype,
-    }
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--channels", help="per-stage widths, e.g. 64,128,256")
-    p.add_argument("--pooling-locations", help="pooled stage prefix, e.g. 1,2,3")
-    p.add_argument("--ratio", type=int, help="correlation projection reduction")
-    p.add_argument("--sigma", choices=SIGMAS)
-    p.add_argument("--fusion-weight", type=float)
-    p.add_argument("--fusion-mode", choices=FUSION_MODES)
-    p.add_argument("--kernel", type=int, help="temporal kernel size (odd)")
-    p.add_argument("--no-ism", action="store_true")
-    p.add_argument("--ism-channels", type=int)
-    p.add_argument("--no-adaptive", action="store_true")
-    p.add_argument("--no-residual-pool", action="store_true")
-    p.add_argument("--dtype", choices=("f32", "f64"))
-
-
 def cmd_train(args) -> int:
+    if args.frames is not None and args.half_frames:
+        raise CliError(2, "--half-frames halves the native frame count; "
+                          "it cannot be combined with --frames")
     os.makedirs(args.out, exist_ok=True)
     train_ds = _load_dataset(args.data)
     eval_ds = _load_dataset(args.eval) if args.eval else None
@@ -151,17 +158,11 @@ def cmd_train(args) -> int:
         frames = native.pop() // (2 if args.half_frames else 1)
 
     file_cfg = _read_config(args.config)
-    model_cfg = config_from_doc(ModelConfig, _resolve(file_cfg["model"], {
-        **_model_dict_from_flags(args), "topology": train_ds.topology,
-        "classes": train_ds.class_count, "frames": frames}))
-    train_cfg = config_from_doc(TR.TrainConfig, _resolve(file_cfg["train"], {
-        "epochs": args.epochs, "warmup": args.warmup, "base_lr": args.lr,
-        "decay_steps": _parse_ints(args.decay_steps) if args.decay_steps is not None else None,
-        "decay_factor": args.decay_factor, "momentum": args.momentum,
-        "weight_decay": args.weight_decay, "batch_size": args.batch_size,
-        "seed": args.seed, "augment": False if args.no_augment else None,
-        "rotate_max": args.rotate_max, "early_stop_train_acc": args.early_stop,
-    }))
+    model_cfg = config_from_doc(ModelConfig, {
+        **file_cfg["model"], **_config_flags(args, ModelConfig),
+        "topology": train_ds.topology, "classes": train_ds.class_count, "frames": frames})
+    train_cfg = config_from_doc(TR.TrainConfig, {
+        **file_cfg["train"], **_config_flags(args, TR.TrainConfig)})
     _echo_config({"model": config_doc(model_cfg), "train": config_doc(train_cfg),
                   "stream": args.stream, "data": args.data, "eval": args.eval},
                  out_dir=args.out)
@@ -199,11 +200,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    flags = {**_model_dict_from_flags(args), "topology": args.topology,
-             "classes": args.classes, "frames": args.frames}
+    flags = _config_flags(args, ModelConfig)
     if args.no_pooling:
         flags["pooling_locations"] = ()
-    cfg = config_from_doc(ModelConfig, _resolve(_read_config(args.config)["model"], flags))
+    cfg = config_from_doc(ModelConfig, {**_read_config(args.config)["model"], **flags})
     _echo_config({"model": config_doc(cfg)})
     report = count_flops(cfg)
     lines = report.lines()
@@ -243,7 +243,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    files = [D.load_scores(p) for p in args.scores]
+    try:
+        files = [D.load_scores(p) for p in args.scores]
+    except ValueError as exc:
+        raise CliError(3, str(exc)) from exc
     weights = list(_parse_floats(args.weights)) if args.weights else None
     acc, fused = D.fuse_scores(files, weights)
     D.save_scores(fused, args.out)
@@ -321,25 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON with optional 'model'/'train' sections")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--stream", default="joint", choices=D.STREAMS)
-    p.add_argument("--frames", type=int, help="resample sequences to this length")
     p.add_argument("--half-frames", action="store_true",
                    help="train on half the native frame count")
     p.add_argument("--model-seed", type=int, default=0)
-    _add_model_flags(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--decay-steps")
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--rotate-max", type=float)
-    p.add_argument("--early-stop", type=float,
-                   help="stop after the first epoch whose in-epoch train accuracy and "
-                        "eval-mode accuracy on the training set both reach this value")
+    _add_config_flags(p, ModelConfig, skip=("topology", "classes"),
+                      helps={**_HELP, "frames": "resample sequences to this length"})
+    _add_config_flags(p, TR.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a dataset with a trained checkpoint")
@@ -351,14 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("flops", help="analytic multiply-accumulate report")
-    p.add_argument("--topology", choices=builtin_names())
-    p.add_argument("--classes", type=int)
-    p.add_argument("--frames", type=int)
     p.add_argument("--config")
     p.add_argument("--no-pooling", action="store_true",
                    help="count the pooling-free control instead")
     p.add_argument("--out")
-    _add_model_flags(p)
+    _add_config_flags(p, ModelConfig)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every operator")

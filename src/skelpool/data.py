@@ -301,18 +301,26 @@ def save_scores(sf: ScoreFile, path: str) -> None:
 
 
 def load_scores(path: str) -> ScoreFile:
+    """A score file; a line that is not UTF-8 text, or whose label is not an
+    integer in 0..K-1 for its K scores, or whose scores are not finite numbers,
+    raises ValueError naming the file and the line."""
     ids, labels, rows = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ValueError(f"{path}: malformed score row {line!r}")
-            ids.append(parts[0])
-            labels.append(int(parts[1]))
-            rows.append([float(v) for v in parts[2:]])
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:  # UnicodeDecodeError is a ValueError
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                sample_id, label, *row = line.split(",")
+                label, row = int(label), [float(v) for v in row]
+                if not (row and 0 <= label < len(row) and np.isfinite(row).all()):
+                    raise ValueError(f"need an integer label in 0..K-1 and K finite "
+                                     f"scores, not {line!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            ids.append(sample_id)
+            labels.append(label)
+            rows.append(row)
     if not ids:
         raise ValueError(f"{path}: empty score file")
     widths = {len(r) for r in rows}

@@ -24,7 +24,10 @@ from .skeleton import (PartitionScheme, SkeletonTopology, load_topology,
                        normalized_adjacency, stage_matrices)
 from .tensor import Parameter, Tensor, named_leaves, scope
 
-VARIANTS = ("light", "heavy")
+# the allowed values of each enumerated ModelConfig field, checked by `validate`
+# and offered as the CLI's `choices`
+FIELD_CHOICES = {"variant": ("light", "heavy"), "sigma": SIGMAS,
+                 "fusion_mode": FUSION_MODES, "dtype": ("f32", "f64")}
 _MAGIC = b"SKPL"
 _VERSION = 1
 
@@ -49,12 +52,9 @@ class ModelConfig:
     dtype: str = "f32"
 
     def validate(self) -> "ModelConfig":
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.sigma not in SIGMAS:
-            raise ValueError(f"sigma must be one of {SIGMAS}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ValueError(f"fusion_mode must be one of {FUSION_MODES}")
+        for name, allowed in FIELD_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if not 0.0 <= self.fusion_weight <= 1.0:
             raise ValueError("fusion_weight must lie in [0, 1]")
         if len(self.channels) != 3 or any(c < 1 for c in self.channels):
@@ -75,8 +75,6 @@ class ModelConfig:
             raise ValueError("frames must be >= 1")
         if self.ism_channels < 1:
             raise ValueError("ism_channels must be >= 1")
-        if self.dtype not in ("f32", "f64"):
-            raise ValueError("dtype must be 'f32' or 'f64'")
         return self
 
     @property
@@ -133,14 +131,13 @@ class StagePlan:
     c_out: int
     n_in: int
     n_out: int
-    t_in: int
-    t_out: int
 
 
 def stage_plan(config: ModelConfig, topology: SkeletonTopology,
                scheme: PartitionScheme | None) -> list[StagePlan]:
-    """Shape trajectory through the three stages, from which `build_model` sizes
-    each stage's blocks; a scheme too short for the pooling locations is an error."""
+    """Channel and node trajectory through the three stages, from which
+    `build_model` sizes each stage's blocks; a scheme too short for the pooling
+    locations is an error."""
     config.validate()
     pooled_stages = len(config.pooling_locations)
     if pooled_stages > 0:
@@ -152,14 +149,13 @@ def stage_plan(config: ModelConfig, topology: SkeletonTopology,
                              f"{pooled_stages} requested")
     counts = scheme.node_counts if scheme is not None else [topology.node_count]
     plans = []
-    n, t, c = topology.node_count, config.frames, config.stem_channels
+    n, c = topology.node_count, config.stem_channels
     for i in range(1, 4):
         pooled = i <= pooled_stages
         n_out = counts[i] if pooled else n
-        t_out = -(-t // 2) if pooled else t
         c_out = config.channels[i - 1]
-        plans.append(StagePlan(i, pooled, c, c_out, n, n_out, t, t_out))
-        n, t, c = n_out, t_out, c_out
+        plans.append(StagePlan(i, pooled, c, c_out, n, n_out))
+        n, c = n_out, c_out
     return plans
 
 

@@ -82,11 +82,11 @@ class OptimizerState:
         return buf
 
 
-def sgd_nesterov_step(params: list[Parameter], grads, state: OptimizerState,
+def sgd_nesterov_step(params: list[Parameter], grads: GradientSet, state: OptimizerState,
                       lr: float, momentum: float, weight_decay: float) -> None:
     """g <- grad + wd*param; v <- momentum*v + g; param <- param - lr*(g + momentum*v)."""
     for p in params:
-        g = grads[p].data if isinstance(grads, GradientSet) else grads[p]
+        g = grads[p].data
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if weight_decay and getattr(p, "decay", True):

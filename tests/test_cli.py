@@ -2,12 +2,15 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from skelpool.cli import main
+from skelpool.cli import build_parser, main
 from skelpool.data import load_dataset, load_scores
+from skelpool.model import ModelConfig
+from skelpool.train import TrainConfig
 from skelpool.skeleton import (builtin_partition, builtin_topology, parse_topology,
                                topology_doc)
 
@@ -234,7 +237,8 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
                                    ["train", "--decay-factor", "0"],
                                    ["train", "--decay-factor", "1.5"],
                                    ["train", "--weight-decay", "-1"],
-                                   ["train", "--rotate-max", "-1"]])
+                                   ["train", "--rotate-max", "-1"],
+                                   ["train", "--frames", "4", "--half-frames"]])
 def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
     if flags[0] == "train":  # the flag under test comes last, so it overrides FAST_TRAIN
         flags = ["train", "--data", str(workdir / "train.json"),
@@ -323,3 +327,95 @@ def test_malformed_dataset_exits_3_with_message(tmp_path, capsys, doc, named):
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}:") and f"'{named}'" in err
+
+
+# one non-default value per config field: the argv that sets it and the value that
+# `config:` (flops) or config.json (train) must read back
+MODEL_FLAG_CASES = {
+    "variant": (["--variant", "heavy"], "heavy"),
+    "topology": (["--topology", "uwa15"], "uwa15"),
+    "classes": (["--classes", "3"], 3),
+    "frames": (["--frames", "16"], 16),
+    "channels": (["--channels", "8,16,32"], [8, 16, 32]),
+    "pooling_locations": (["--pooling-locations", "1,2"], [1, 2]),
+    "ratio": (["--ratio", "2"], 2),
+    "sigma": (["--sigma", "sigmoid"], "sigmoid"),
+    "fusion_weight": (["--fusion-weight", "0.25"], 0.25),
+    "fusion_mode": (["--fusion-mode", "concat"], "concat"),
+    "temporal_kernel": (["--kernel", "3"], 3),
+    "ism": (["--no-ism", "--ratio", "1"], False),  # the 3-channel stem needs ratio 1
+    "ism_channels": (["--ism-channels", "16"], 16),
+    "adaptive": (["--no-adaptive"], False),
+    "residual_pool": (["--no-residual-pool"], False),
+    "dtype": (["--dtype", "f64"], "f64"),
+}
+TRAIN_FLAG_BASE = ["--channels", "4,8,8", "--ism-channels", "4", "--epochs", "1",
+                   "--warmup", "1", "--decay-steps", "", "--batch-size", "4"]
+TRAIN_FLAG_CASES = {  # each argv comes after TRAIN_FLAG_BASE and overrides it
+    "epochs": (["--epochs", "2"], 2),
+    "warmup": (["--warmup", "0"], 0),
+    "base_lr": (["--lr", "0.02"], 0.02),
+    "decay_steps": (["--epochs", "2", "--decay-steps", "2"], [2]),
+    "decay_factor": (["--decay-factor", "0.5"], 0.5),
+    "momentum": (["--momentum", "0.5"], 0.5),
+    "weight_decay": (["--weight-decay", "0.001"], 0.001),
+    "batch_size": (["--batch-size", "3"], 3),
+    "seed": (["--seed", "4"], 4),
+    "augment": (["--no-augment"], False),
+    "rotate_max": (["--rotate-max", "0.1"], 0.1),
+    "early_stop_train_acc": (["--early-stop", "0.9"], 0.9),
+}
+
+
+def test_config_flags_cover_every_field():
+    model, train = ({f.name for f in fields(cls)} for cls in (ModelConfig, TrainConfig))
+    assert set(MODEL_FLAG_CASES) == model and set(TRAIN_FLAG_CASES) == train
+    parser = build_parser()
+    assert model <= set(vars(parser.parse_args(["flops"])))
+    # train takes topology and classes from the dataset
+    given = set(vars(parser.parse_args(["train", "--data", "d", "--out", "o"])))
+    assert (model - {"topology", "classes"}) | train <= given
+
+
+@pytest.mark.parametrize("command, name", [
+    *[("flops", name) for name in MODEL_FLAG_CASES],
+    *[("train", name) for name in TRAIN_FLAG_CASES]])
+def test_config_flag_is_read_back(workdir, tmp_path, capsys, command, name):
+    if command == "flops":
+        (argv, value), cls, section = MODEL_FLAG_CASES[name], ModelConfig, "model"
+        assert main(["flops"] + argv) == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("config:"))
+    else:
+        (argv, value), cls, section = TRAIN_FLAG_CASES[name], TrainConfig, "train"
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(workdir / "train.json"), "--out", str(run)]
+                    + TRAIN_FLAG_BASE + argv) == 0
+        doc = json.loads((run / "config.json").read_text())
+    default = next(f.default for f in fields(cls) if f.name == name)
+    assert value != (list(default) if isinstance(default, tuple) else default)
+    assert doc[section][name] == value
+
+
+# (score file bytes, the line the error must name)
+MALFORMED_SCORES = {
+    "nan-score": (b"a,0,0.5,nan\n", 1),
+    "infinite-score": (b"a,0,0.5,0.5\nb,1,-inf,0.5\n", 2),
+    "non-numeric-score": (b"a,0,0.5,y\n", 1),
+    "label-past-columns": (b"a,0,0.5,0.5\nb,5,0.5,0.5\n", 2),
+    "negative-label": (b"a,-1,0.5,0.5\n", 1),
+    "non-integer-label": (b"a,x,0.5,0.5\n", 1),
+    "fractional-label": (b"a,1.0,0.5,0.5\n", 1),
+    "undecodable-byte": (b"a,0,0.5,0.5\n\n\xff,1,0.5,0.5\n", 3),
+    "short-row": (b"a,0\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SCORES)
+def test_malformed_score_file_exits_3_naming_the_line(tmp_path, capsys, name):
+    text, line = MALFORMED_SCORES[name]
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text)
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", "--scores", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: line {line}:")
+    assert not out.exists()

@@ -7,7 +7,8 @@ import pytest
 
 from skelpool.data import synth_generate, to_arrays
 from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from skelpool.tensor import NonFiniteError, Parameter, Tape, Tensor, gradients
+from skelpool.tensor import (GradientSet, NonFiniteError, Parameter, Tape, Tensor,
+                             gradients)
 from skelpool.train import (EpochMetrics, OptimizerState, TrainConfig, cross_entropy,
                             evaluate, lr_at, random_rotate, rotation_matrix,
                             sgd_nesterov_step, train_loop, write_metrics)
@@ -73,8 +74,8 @@ class TestSchedule:
 
 class TestSgdNesterov:
     def step(self, param, grad, state, lr=0.1, momentum=0.9, wd=0.0):
-        sgd_nesterov_step([param], {param: np.asarray(grad, dtype=np.float64)},
-                          state, lr, momentum, wd)
+        grads = GradientSet([(param, Tensor(np.asarray(grad, dtype=np.float64)))], [])
+        sgd_nesterov_step([param], grads, state, lr, momentum, wd)
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Parameter(np.array([1.0, -2.0]))
