@@ -146,7 +146,6 @@ def cmd_train(args) -> int:
     if args.frames is not None and args.half_frames:
         raise CliError(2, "--half-frames halves the native frame count; "
                           "it cannot be combined with --frames")
-    os.makedirs(args.out, exist_ok=True)
     train_ds = _load_dataset(args.data)
     eval_ds = _load_dataset(args.eval) if args.eval else None
 
@@ -163,17 +162,18 @@ def cmd_train(args) -> int:
         "topology": train_ds.topology, "classes": train_ds.class_count, "frames": frames})
     train_cfg = config_from_doc(TR.TrainConfig, {
         **file_cfg["train"], **_config_flags(args, TR.TrainConfig)})
-    _echo_config({"model": config_doc(model_cfg), "train": config_doc(train_cfg),
-                  "stream": args.stream, "data": args.data, "eval": args.eval},
-                 out_dir=args.out)
 
     def prep(ds):
         ds = D.apply_stream(ds, args.stream)
         return D.resample_dataset(ds, model_cfg.frames)
 
+    train_set, eval_set = prep(train_ds), prep(eval_ds) if eval_ds else None
     model = build_model(model_cfg, seed=args.model_seed)
-    metrics = TR.train_loop(model, prep(train_ds), train_cfg,
-                            eval_set=prep(eval_ds) if eval_ds else None,
+    os.makedirs(args.out, exist_ok=True)  # only once the run can start
+    _echo_config({"model": config_doc(model_cfg), "train": config_doc(train_cfg),
+                  "stream": args.stream, "data": args.data, "eval": args.eval},
+                 out_dir=args.out)
+    metrics = TR.train_loop(model, train_set, train_cfg, eval_set=eval_set,
                             log=lambda r: print(f"epoch {r.epoch} lr {r.lr:.4g} "
                                                 f"loss {r.train_loss:.4f} "
                                                 f"acc {r.train_acc:.3f} "

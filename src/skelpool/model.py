@@ -5,6 +5,12 @@ classification head. Light stages are pool-then-graph-convolve; heavy stages
 are full cross fusion blocks. Pooling locations form a prefix of the stages
 (later partition stages are defined on earlier pooled graphs), and the last
 heavy fusion happens after global average pooling.
+
+A `Stage` holds only its graphs and its block: the assignment that pools its
+input (None when the stage keeps its graph), the adjacency it reads and the
+one it writes. `build_model` makes the stages in one walk over the channel
+widths. `ModelConfig.validate` is the only place a config is rejected: a
+validated config always builds.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      fuse_branches, global_average, information_supplement)
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
-from .skeleton import (PartitionScheme, SkeletonTopology, load_topology,
-                       normalized_adjacency, stage_matrices)
+from .skeleton import SkeletonTopology, load_topology, normalized_adjacency, stage_matrices
 from .tensor import Parameter, Tensor, named_leaves, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
@@ -75,15 +80,36 @@ class ModelConfig:
             raise ValueError("frames must be >= 1")
         if self.ism_channels < 1:
             raise ValueError("ism_channels must be >= 1")
+        topo, scheme = load_topology(self.topology)
+        if locs and scheme is None:
+            raise ValueError(f"topology '{topo.name}' has no partition scheme "
+                             "but pooling is enabled")
+        if locs and len(scheme.stages) < len(locs):
+            raise ValueError(f"scheme defines {len(scheme.stages)} pooling stages, "
+                             f"{len(locs)} requested")
+        # the correlation projections of an adaptive pooled stage divide its input
+        # width (light), or its input and output widths (heavy), by the ratio
+        widths = _stage_widths(self)[: len(locs) if self.adaptive else 0]
+        for i, (c_in, c_out) in enumerate(widths, 1):
+            for c in (c_in, c_out) if self.variant == "heavy" else (c_in,):
+                if c % self.ratio:
+                    stem = (" (stage 1 reads 2 * ism_channels)" if self.ism else
+                            " (with ism off, stage 1 reads the 3 raw coordinates)")
+                    raise ValueError(f"stage {i} pools {c} channels, not divisible by "
+                                     f"ratio {self.ratio}"
+                                     + (stem if i == 1 and c == c_in else ""))
         return self
 
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
 
-    @property
-    def stem_channels(self) -> int:
-        return 2 * self.ism_channels if self.ism else 3
+
+def _stage_widths(config: ModelConfig) -> list[tuple[int, int]]:
+    """(input, output) channels of each stage; stage 1 reads the input supplement's
+    2 * ism_channels, or the 3 raw coordinates without it."""
+    stem = 2 * config.ism_channels if config.ism else 3
+    return list(zip((stem, *config.channels[:-1]), config.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -123,46 +149,9 @@ def config_from_doc(cls, doc: dict):
     return cls(**{k: _field_value(k, defaults[k], v) for k, v in doc.items()}).validate()
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    index: int
-    pooled: bool
-    c_in: int
-    c_out: int
-    n_in: int
-    n_out: int
-
-
-def stage_plan(config: ModelConfig, topology: SkeletonTopology,
-               scheme: PartitionScheme | None) -> list[StagePlan]:
-    """Channel and node trajectory through the three stages, from which
-    `build_model` sizes each stage's blocks; a scheme too short for the pooling
-    locations is an error."""
-    config.validate()
-    pooled_stages = len(config.pooling_locations)
-    if pooled_stages > 0:
-        if scheme is None:
-            raise ValueError(f"topology '{topology.name}' has no partition scheme "
-                             "but pooling is enabled")
-        if len(scheme.stages) < pooled_stages:
-            raise ValueError(f"scheme defines {len(scheme.stages)} pooling stages, "
-                             f"{pooled_stages} requested")
-    counts = scheme.node_counts if scheme is not None else [topology.node_count]
-    plans = []
-    n, c = topology.node_count, config.stem_channels
-    for i in range(1, 4):
-        pooled = i <= pooled_stages
-        n_out = counts[i] if pooled else n
-        c_out = config.channels[i - 1]
-        plans.append(StagePlan(i, pooled, c, c_out, n, n_out))
-        n, c = n_out, c_out
-    return plans
-
-
 @dataclass
 class Stage:
-    plan: StagePlan
-    assignment: Tensor | None
+    assignment: Tensor | None  # None when the stage keeps its graph
     adj_in: Tensor
     adj_out: Tensor
     pool: PoolingParams | None = None       # light variant
@@ -174,11 +163,10 @@ class Model:
     """A built network: constant graph matrices plus the parameter tree."""
 
     def __init__(self, config: ModelConfig, topology: SkeletonTopology,
-                 scheme: PartitionScheme | None, ism: IsmParams | None,
-                 stages: list[Stage], head: ClassifierHead, seed: int):
+                 ism: IsmParams | None, stages: list[Stage], head: ClassifierHead,
+                 seed: int):
         self.config = config
         self.topology = topology
-        self.scheme = scheme
         self.ism = ism
         self.stages = stages
         self.head = head
@@ -190,7 +178,8 @@ class Model:
 
     def _named_leaves(self, kind: type) -> list:
         trees = [("ism", self.ism)] if self.ism is not None else []
-        trees += [(f"stage{s.plan.index}", s) for s in self.stages] + [("head", self.head)]
+        trees += [(f"stage{i}", s) for i, s in enumerate(self.stages, 1)]
+        trees.append(("head", self.head))
         return [pair for prefix, tree in trees for pair in named_leaves(tree, prefix, kind)]
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
@@ -203,7 +192,7 @@ class Model:
 
     def node_trajectory(self) -> list[int]:
         """Node counts from input graph through every stage output."""
-        return [self.stages[0].plan.n_in] + [s.plan.n_out for s in self.stages]
+        return [self.stages[0].adj_in.shape[0]] + [s.adj_out.shape[0] for s in self.stages]
 
     def forward(self, x, train: bool = False, corr_out: list | None = None) -> Tensor:
         """Logits for a (batch, 3, frames, nodes) input.
@@ -229,10 +218,10 @@ class Model:
             with scope("ism"):
                 h = information_supplement(h, self.ism, self.topology,
                                            self.stages[0].adj_in, train)
-        for stage in self.stages:
+        for i, stage in enumerate(self.stages, 1):
             stage_corr: list = []
-            with scope(f"stage{stage.plan.index}"):
-                if stage.cfb is not None and stage.plan.index == 3:  # heavy: fuse after pooling
+            with scope(f"stage{i}"):
+                if stage.cfb is not None and i == len(self.stages):  # heavy: fuse after pooling
                     hb, eb = cross_fusion_split(h, stage.cfb, stage.assignment,
                                                 stage.adj_out, stage.adj_in, train,
                                                 corr_out=stage_corr)
@@ -242,13 +231,13 @@ class Model:
                                            stage.adj_out, stage.adj_in, train,
                                            corr_out=stage_corr)
                 else:  # light
-                    if stage.plan.pooled:
+                    if stage.assignment is not None:
                         h = st_pool(h, stage.pool, stage.assignment,
                                     residual=self.config.residual_pool,
                                     corr_out=stage_corr)
                     h = gcn_block(h, stage.gcn, stage.adj_out, train)
             if corr_out is not None and stage_corr:
-                corr_out.append((stage.plan.index, stage_corr[0].data.copy()))
+                corr_out.append((i, stage_corr[0].data.copy()))
         with scope("head"):
             return classifier_head(h, self.head)
 
@@ -257,46 +246,36 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     """Deterministically initialize a model from a validated config and a seed."""
     config = config.validate()
     topo, scheme = load_topology(config.topology)
-    plans = stage_plan(config, topo, scheme)
     dtype = config.np_dtype
     rng = np.random.default_rng(seed)
-
-    mats = stage_matrices(topo, scheme)[: len(config.pooling_locations)] \
-        if scheme is not None else []
-    adj_chain = [Tensor(normalized_adjacency(topo), dtype=dtype)]
-    assign_chain = []
-    for p, norm, _ in mats:
-        assign_chain.append(Tensor(p, dtype=dtype))
-        adj_chain.append(Tensor(norm, dtype=dtype))
+    pooled = len(config.pooling_locations)
+    mats = stage_matrices(topo, scheme)[:pooled] if pooled else []
 
     ism = IsmParams.init(config.ism_channels, rng=rng, dtype=dtype) if config.ism else None
-
+    adj = Tensor(normalized_adjacency(topo), dtype=dtype)
     stages = []
-    for plan in plans:
-        res_in = min(plan.index - 1, len(mats))
-        res_out = min(plan.index, len(mats))
-        adj_in, adj_out = adj_chain[res_in], adj_chain[res_out]
-        assignment = assign_chain[plan.index - 1] if plan.pooled else None
+    for c_in, c_out in _stage_widths(config):
+        assignment, adj_in = None, adj
+        if mats:
+            p, norm, _ = mats.pop(0)
+            assignment, adj = Tensor(p, dtype=dtype), Tensor(norm, dtype=dtype)
+        adaptive = config.adaptive and assignment is not None
         if config.variant == "heavy":
             cfb = CrossFusionParams.init(
-                plan.c_in, plan.c_out, ratio=config.ratio, sigma=config.sigma,
+                c_in, c_out, ratio=config.ratio, sigma=config.sigma,
                 kernel=config.temporal_kernel, fuse=config.fusion_mode,
-                weight=config.fusion_weight,
-                adaptive=config.adaptive and plan.pooled,
-                residual_pool=config.residual_pool,
-                rng=rng, dtype=dtype)
-            stages.append(Stage(plan, assignment, adj_in, adj_out, cfb=cfb))
+                weight=config.fusion_weight, adaptive=adaptive,
+                residual_pool=config.residual_pool, rng=rng, dtype=dtype)
+            stages.append(Stage(assignment, adj_in, adj, cfb=cfb))
         else:
-            pool = None
-            if plan.pooled and config.adaptive:
-                pool = PoolingParams.init(plan.c_in, ratio=config.ratio,
-                                          sigma=config.sigma, rng=rng, dtype=dtype)
-            gcn = GraphConvParams.init(plan.c_in, plan.c_out,
-                                       kernel=config.temporal_kernel, rng=rng, dtype=dtype)
-            stages.append(Stage(plan, assignment, adj_in, adj_out, pool=pool, gcn=gcn))
+            pool = PoolingParams.init(c_in, ratio=config.ratio, sigma=config.sigma,
+                                      rng=rng, dtype=dtype) if adaptive else None
+            gcn = GraphConvParams.init(c_in, c_out, kernel=config.temporal_kernel,
+                                       rng=rng, dtype=dtype)
+            stages.append(Stage(assignment, adj_in, adj, pool=pool, gcn=gcn))
 
     head = ClassifierHead.init(config.channels[-1], config.classes, rng=rng, dtype=dtype)
-    return Model(config, topo, scheme, ism, stages, head, seed)
+    return Model(config, topo, ism, stages, head, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,26 @@ def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags)
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags, code", [(["--lr", "0"], 2), (["--kernel", "4"], 2),
+                                         (["--no-ism"], 2), (["--data", "missing.json"], 3)],
+                         ids=["lr-0", "kernel-4", "no-ism", "missing-data"])
+def test_failing_train_creates_no_out_directory(workdir, tmp_path, capsys, flags, code):
+    out = tmp_path / "run"
+    if flags[0] == "--data":
+        flags = ["--data", str(tmp_path / flags[1])]
+    assert main(["train", "--data", str(workdir / "train.json"), "--out", str(out)]
+                + FAST_TRAIN + flags) == code
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_flops_rejects_ism_off_at_ratio_4_before_the_config_line(capsys):
+    # without the input supplement stage 1 pools the 3 raw coordinates
+    assert main(["flops", "--no-ism"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and all(word in err for word in ("ratio", "ism", "divisible"))
+
+
 # (malformed topology document, the field the message must name)
 MALFORMED_TOPOLOGIES = [
     ({"name": "x", "node_count": 3, "edges": 5}, "edges"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 
@@ -12,8 +13,8 @@ from skelpool.cli import main
 from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
 from skelpool.model import (Model, ModelConfig, build_model, config_doc, config_from_doc,
-                            load_checkpoint, save_checkpoint, stage_plan)
-from skelpool.skeleton import SkeletonTopology, load_topology
+                            load_checkpoint, save_checkpoint)
+from skelpool.skeleton import builtin_partition, builtin_topology, load_topology, topology_doc
 from skelpool.tensor import NonFiniteError, Tape, Tensor, relu
 from skelpool.train import TrainConfig
 
@@ -88,9 +89,33 @@ class TestBuild:
             build_model(slim_config(ism=False, ratio=4), seed=0)
 
     def test_pooling_without_scheme_rejected(self):
-        topo = SkeletonTopology("loose", 4, ((1, 2), (2, 3), (3, 4)))
-        with pytest.raises(ValueError, match="partition"):
-            stage_plan(slim_config(), topo, None)
+        cfg = slim_config(topology={"name": "loose", "node_count": 4,
+                                    "edges": [[1, 2], [2, 3], [3, 4]]})
+        for reject in (cfg.validate, lambda: build_model(cfg, seed=0)):
+            with pytest.raises(ValueError, match="partition"):
+                reject()
+
+    def test_validate_passes_exactly_when_build_succeeds(self):
+        # topologies with three, one and no pooling stages; widths that a ratio of
+        # 2, 3 or 4 may fail to divide at the stem (ism on or off), at a stage input
+        # or, for heavy, at a stage output
+        one_stage = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+        one_stage["stages"] = one_stage["stages"][:1]
+        no_stages = {k: v for k, v in one_stage.items() if k != "stages"}
+        for topology, variant, ism, adaptive, ratio, channels, k in itertools.product(
+                ("ntu25", one_stage, no_stages), ("light", "heavy"), (True, False),
+                (True, False), (1, 2, 3, 4), ((8, 16, 32), (6, 12, 24)), range(4)):
+            cfg = slim_config(topology=topology, variant=variant, ism=ism,
+                              adaptive=adaptive, ratio=ratio, channels=channels,
+                              pooling_locations=tuple(range(1, k + 1)), ism_channels=4)
+            outcomes = []
+            for attempt in (cfg.validate, lambda: build_model(cfg, seed=0)):
+                try:
+                    attempt()
+                    outcomes.append(True)
+                except ValueError:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], cfg
 
 
 class TestForward:
