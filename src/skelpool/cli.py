@@ -234,8 +234,6 @@ def cmd_gradcheck(args) -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {name:25s} max rel err {err:.3e}")
         worst = max(worst, err)
     print(f"{len(results)} checks, worst {worst:.3e}, tolerance {tol:.0e}")
-    if not results:
-        raise CliError(2, f"no checks matched {sorted(names)}")
     if not all(ok for _, _, ok in results):
         print("gradient check FAILED", file=sys.stderr)
         return 4

@@ -82,7 +82,6 @@ class GraphConvParams:
     w_temporal: Parameter  # (c_out, c_out, kernel)
     norm: BatchNorm
     norm_out: BatchNorm
-    kernel: int = 5
     stride: int = 1
 
     @classmethod
@@ -98,7 +97,7 @@ class GraphConvParams:
                                  dtype=dtype),
             norm=BatchNorm.init(c_out, dtype=dtype),
             norm_out=BatchNorm.init(c_out, dtype=dtype),
-            kernel=kernel, stride=stride)
+            stride=stride)
 
 
 def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool) -> Tensor:

@@ -4,18 +4,24 @@ The oracle side never touches the reverse-mode machinery: it evaluates the
 forward pass at perturbed inputs only. `operator_cases` covers the closed
 primitive set from `tensor`; `composite_cases` covers the assembled blocks
 (correlation, spatial pooling, cross fusion, input supplement, classifier
-head). The CLI `gradcheck` subcommand and the acceptance suite both run
-`run_all`.
+head). A case gives only its name, its operator or block and its leaves; the
+template `WeightedLoss` makes the scalar loss, with weights in the shape of the
+operator's output. The CLI `gradcheck` subcommand and the acceptance suite both
+run `run_all`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import blocks, gcn, pooling
 from . import tensor as T
+from .skeleton import (SkeletonTopology, build_assignment, coarsen_adjacency,
+                       normalized_adjacency, raw_adjacency)
 from .tensor import Tape, Tensor, gradients
 
 
@@ -84,247 +90,155 @@ def _away_from_zero(rng, shape, dtype, margin=0.1):
     return Tensor((mag * sign).astype(dtype))
 
 
-def _weighted_sum(out: Tensor, const: Tensor) -> Tensor:
-    return T.tsum(T.mul(out, const))
+@dataclass
+class WeightedLoss:
+    """The case template: loss = sum(forward output * fixed weights).
+
+    `forward(rng, dtype) -> (thunk, leaves)` draws the leaves and returns the
+    operator or block applied to them. The weights are standard-normal draws
+    in the shape of one run of the thunk, drawn after the leaves. A scalar
+    output (cross-entropy) is the loss itself.
+    """
+
+    forward: Callable
+
+    def __call__(self, rng, dtype):
+        thunk, leaves = self.forward(rng, dtype)
+        shape = thunk().shape
+        if shape == ():
+            return thunk, leaves
+        w = _rand(rng, shape, dtype)
+        return (lambda: T.tsum(T.mul(thunk(), w))), leaves
 
 
-def _simple(name, op_builder):
-    """Case template: loss = sum(op(leaves...) * fixed_random_weights)."""
+def _op_case(name: str, op: Callable, *shapes) -> CheckCase:
+    """`op` applied to standard-normal leaves of the given shapes, in order."""
 
-    def build(rng, dtype):
-        op, leaves, out_shape = op_builder(rng, dtype)
-        w = Tensor(rng.standard_normal(out_shape).astype(dtype))
-        return (lambda: _weighted_sum(op(), w)), leaves
+    def forward(rng, dtype):
+        leaves = [_rand(rng, shape, dtype) for shape in shapes]
+        return (lambda: op(*leaves)), leaves
 
-    return CheckCase(name, build)
+    return CheckCase(name, WeightedLoss(forward))
 
 
 def operator_cases() -> list[CheckCase]:
-    """One check per registered primitive operator (some get two shape regimes)."""
-    cases = []
+    """One check per recording operator of `tensor` (some get two shape regimes)."""
 
-    def pointwise(name, fn):
-        def builder(rng, dtype):
-            a, b = _rand(rng, (3, 4), dtype), _rand(rng, (3, 4), dtype)
-            return (lambda: fn(a, b)), [a, b], (3, 4)
-        return _simple(name, builder)
-
-    cases += [pointwise("add", T.add), pointwise("sub", T.sub), pointwise("mul", T.mul)]
-
-    def scale_builder(rng, dtype):
+    def scale(rng, dtype):
         x = _rand(rng, (2, 5), dtype)
         c = float(rng.uniform(-2, 2))
-        return (lambda: T.scale(x, c)), [x], (2, 5)
-    cases.append(_simple("scale", scale_builder))
+        return (lambda: T.scale(x, c)), [x]
 
-    def add_bias_builder(rng, dtype):
-        x, b = _rand(rng, (2, 4, 3, 2), dtype), _rand(rng, (4,), dtype)
-        return (lambda: T.add_bias(x, b)), [x, b], (2, 4, 3, 2)
-    cases.append(_simple("add_bias", add_bias_builder))
-
-    def affine_builder(rng, dtype):
-        x = _rand(rng, (2, 4, 3, 2), dtype)
-        g, b = _rand(rng, (4,), dtype), _rand(rng, (4,), dtype)
-        return (lambda: T.channel_affine(x, g, b)), [x, g, b], (2, 4, 3, 2)
-    cases.append(_simple("channel_affine", affine_builder))
-
-    def expand_builder(rng, dtype):
-        x = _rand(rng, (2, 1, 3, 1), dtype)
-        return (lambda: T.expand(x, (2, 4, 3, 2))), [x], (2, 4, 3, 2)
-    cases.append(_simple("expand", expand_builder))
-
-    for name, fn in (("tanh", T.tanh), ("sigmoid", T.sigmoid), ("softmax", T.softmax)):
-        def unary_builder(rng, dtype, fn=fn):
-            x = _rand(rng, (3, 5), dtype)
-            return (lambda: fn(x)), [x], (3, 5)
-        cases.append(_simple(name, unary_builder))
-
-    def relu_builder(rng, dtype):
+    def relu(rng, dtype):
         x = _away_from_zero(rng, (3, 5), dtype)
-        return (lambda: T.relu(x)), [x], (3, 5)
-    cases.append(_simple("relu", relu_builder))
+        return (lambda: T.relu(x)), [x]
 
-    def sum_builder(rng, dtype):
-        x = _rand(rng, (2, 3, 4), dtype)
-        return (lambda: T.tsum(x, axes=(0, 2))), [x], (3,)
-    cases.append(_simple("sum", sum_builder))
-
-    def mean_builder(rng, dtype):
-        x = _rand(rng, (2, 3, 4), dtype)
-        return (lambda: T.tmean(x, axes=(1,))), [x], (2, 4)
-    cases.append(_simple("mean", mean_builder))
-
-    def matmul_builder(rng, dtype):
-        a, b = _rand(rng, (4, 3), dtype), _rand(rng, (3, 2), dtype)
-        return (lambda: T.matmul(a, b)), [a, b], (4, 2)
-    cases.append(_simple("matmul", matmul_builder))
-
-    def matmul_batched_builder(rng, dtype):
-        a, b = _rand(rng, (2, 3, 4, 3), dtype), _rand(rng, (3, 2), dtype)
-        return (lambda: T.matmul(a, b)), [a, b], (2, 3, 4, 2)
-    cases.append(_simple("matmul_batched", matmul_batched_builder))
-
-    def conv1x1_builder(rng, dtype):
-        x, w = _rand(rng, (2, 6, 3, 4), dtype), _rand(rng, (6, 2), dtype)
-        return (lambda: T.conv1x1(x, w)), [x, w], (2, 2, 3, 4)
-    cases.append(_simple("conv1x1", conv1x1_builder))
-
-    for stride in (1, 2):
-        def tconv_builder(rng, dtype, stride=stride):
-            x, w = _rand(rng, (2, 3, 7, 2), dtype), _rand(rng, (4, 3, 5), dtype)
-            t_out = -(-7 // stride)
-            return (lambda: T.temporal_conv(x, w, stride=stride)), [x, w], (2, 4, t_out, 2)
-        cases.append(_simple(f"temporal_conv_s{stride}", tconv_builder))
-
-    def pairavg_builder(rng, dtype):
-        x = _rand(rng, (2, 3, 5, 2), dtype)  # odd frame count hits the pass-through path
-        return (lambda: T.pair_avg_time(x)), [x], (2, 3, 3, 2)
-    cases.append(_simple("pair_avg_time", pairavg_builder))
-
-    def concat_builder(rng, dtype):
-        a, b = _rand(rng, (2, 3, 2, 2), dtype), _rand(rng, (2, 2, 2, 2), dtype)
-        return (lambda: T.concat_channels(a, b)), [a, b], (2, 5, 2, 2)
-    cases.append(_simple("concat_channels", concat_builder))
-
-    def reshape_builder(rng, dtype):
-        x = _rand(rng, (2, 6), dtype)
-        return (lambda: T.reshape(x, (3, 4))), [x], (3, 4)
-    cases.append(_simple("reshape", reshape_builder))
-
-    def transpose_builder(rng, dtype):
-        x = _rand(rng, (2, 3, 4), dtype)
-        return (lambda: T.transpose(x, (2, 0, 1))), [x], (4, 2, 3)
-    cases.append(_simple("transpose", transpose_builder))
-
-    def bn_builder(rng, dtype):
+    def batch_norm(rng, dtype):
         x = _rand(rng, (3, 4, 2, 2), dtype)
         g = Tensor(rng.uniform(0.5, 1.5, size=4).astype(dtype))
         b = _rand(rng, (4,), dtype)
-        return (lambda: T.batch_norm_train(x, g, b)), [x, g, b], (3, 4, 2, 2)
-    cases.append(_simple("batch_norm", bn_builder))
+        return (lambda: T.batch_norm_train(x, g, b)), [x, g, b]
 
-    def ce_builder(rng, dtype):
+    def cross_entropy(rng, dtype):
         logits = _rand(rng, (4, 5), dtype)
         labels = rng.integers(0, 5, size=4)
         return (lambda: T.cross_entropy(logits, labels)), [logits]
-    cases.append(CheckCase("cross_entropy", ce_builder))
 
-    return cases
+    return [
+        _op_case("add", T.add, (3, 4), (3, 4)),
+        _op_case("mul", T.mul, (3, 4), (3, 4)),
+        CheckCase("scale", WeightedLoss(scale)),
+        _op_case("add_bias", T.add_bias, (2, 4, 3, 2), (4,)),
+        _op_case("channel_affine", T.channel_affine, (2, 4, 3, 2), (4,), (4,)),
+        _op_case("expand", lambda x: T.expand(x, (2, 4, 3, 2)), (2, 1, 3, 1)),
+        _op_case("tanh", T.tanh, (3, 5)),
+        _op_case("sigmoid", T.sigmoid, (3, 5)),
+        _op_case("softmax", T.softmax, (3, 5)),
+        CheckCase("relu", WeightedLoss(relu)),
+        _op_case("sum", lambda x: T.tsum(x, axes=(0, 2)), (2, 3, 4)),
+        _op_case("mean", lambda x: T.tmean(x, axes=(1,)), (2, 3, 4)),
+        _op_case("matmul", T.matmul, (4, 3), (3, 2)),
+        _op_case("matmul_batched", T.matmul, (2, 3, 4, 3), (3, 2)),
+        _op_case("conv1x1", T.conv1x1, (2, 6, 3, 4), (6, 2)),
+        *(_op_case(f"temporal_conv_s{stride}", partial(T.temporal_conv, stride=stride),
+                   (2, 3, 7, 2), (4, 3, 5)) for stride in (1, 2)),
+        # an odd frame count hits the pass-through path
+        _op_case("pair_avg_time", T.pair_avg_time, (2, 3, 5, 2)),
+        _op_case("concat_channels", T.concat_channels, (2, 3, 2, 2), (2, 2, 2, 2)),
+        _op_case("reshape", lambda x: T.reshape(x, (3, 4)), (2, 6)),
+        _op_case("transpose", lambda x: T.transpose(x, (2, 0, 1)), (2, 3, 4)),
+        CheckCase("batch_norm", WeightedLoss(batch_norm)),
+        CheckCase("cross_entropy", WeightedLoss(cross_entropy)),
+    ]
 
 
 def _chain4():
-    from .skeleton import SkeletonTopology
     return SkeletonTopology(name="chain4", node_count=4,
                             edges=((1, 2), (2, 3), (3, 4)),
                             parents={2: 1, 3: 2, 4: 3})
 
 
+def block_case(name: str, init: Callable, x_shape, block: Callable, *consts) -> CheckCase:
+    """block(x, params, *consts): params from init(rng=, dtype=), then a
+    standard-normal x; the leaves are x and every parameter of params. The
+    constant arrays `consts` (graphs, assignments) enter as tensors of the
+    case's dtype."""
+
+    def forward(rng, dtype):
+        params = init(rng=rng, dtype=dtype)
+        x = _rand(rng, x_shape, dtype)
+        args = [Tensor(c.astype(dtype)) for c in consts]
+        return (lambda: block(x, params, *args)), \
+            [x] + [t for _, t in T.named_leaves(params, "", T.Parameter)]
+
+    return CheckCase(name, WeightedLoss(forward))
+
+
 def composite_cases() -> list[CheckCase]:
     """Gradient checks through the assembled model pieces."""
-    # local imports: these modules build on tensor, which imports nothing here
-    from . import blocks, gcn, pooling
-    from .skeleton import (build_assignment, coarsen_pattern, normalize_pattern,
-                           normalized_adjacency, raw_adjacency)
+    chain = _chain4()
+    adj = normalized_adjacency(chain)
+    regions = build_assignment(4, [((1, 2), 1), ((3, 4), 2)])
+    coarse = coarsen_adjacency(raw_adjacency(chain), regions)
+    overlap = build_assignment(5, [((1, 2, 3), 1), ((3, 4, 5), 2)])  # joint 3 is in both regions
+    pool = partial(pooling.PoolingParams.init, channels=4, ratio=2)
 
-    cases = []
-
-    def corr_builder(rng, dtype):
-        params = pooling.PoolingParams.init(channels=4, ratio=2, rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 4, 3, 5), dtype)
-        w = Tensor(rng.standard_normal((1, 3, 5)).astype(dtype))
-        leaves = [x, params.w_phi, params.w_psi]
-        return (lambda: _weighted_sum(pooling.correlation(x, params), w)), leaves
-    cases.append(CheckCase("correlation", corr_builder))
-
-    assign = np.zeros((5, 2))
-    assign[[0, 1, 2], 0] = 1.0
-    assign[[2, 3, 4], 1] = 1.0  # node 2 overlaps both regions
-
-    def spool_builder(rng, dtype):
-        params = pooling.PoolingParams.init(channels=4, ratio=2, rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 4, 3, 5), dtype)
-        p = Tensor(assign.astype(dtype))
-        w = Tensor(rng.standard_normal((1, 4, 3, 2)).astype(dtype))
-
-        def thunk():
-            r = pooling.correlation(x, params)
-            return _weighted_sum(pooling.spatial_pool(x, r, p), w)
-        return thunk, [x, params.w_phi, params.w_psi]
-    cases.append(CheckCase("spatial_pool", spool_builder))
-
-    def stpool_builder(rng, dtype):
-        params = pooling.PoolingParams.init(channels=4, ratio=2, rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 4, 4, 5), dtype)
-        p = Tensor(assign.astype(dtype))
-        w = Tensor(rng.standard_normal((1, 4, 2, 2)).astype(dtype))
-        return (lambda: _weighted_sum(pooling.st_pool(x, params, p), w)), \
-            [x, params.w_phi, params.w_psi]
-    cases.append(CheckCase("st_pool", stpool_builder))
-
-    def cfb_builder(rng, dtype):
-        topo = _chain4()
-        fine = Tensor(normalized_adjacency(topo).astype(dtype))
-        p_arr = build_assignment(4, [((1, 2), 1), ((3, 4), 2)])
-        coarse = Tensor(
-            normalize_pattern(coarsen_pattern(raw_adjacency(topo), p_arr)).astype(dtype))
-        p = Tensor(p_arr.astype(dtype))
-        params = blocks.CrossFusionParams.init(
-            c_in=4, c_out=4, ratio=2, kernel=3, fuse="sum", weight=0.5,
-            rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 4, 4, 4), dtype)
-        w = Tensor(rng.standard_normal((1, 4, 2, 2)).astype(dtype))
-
-        def thunk():
-            y = blocks.cross_fusion_block(x, params, p, coarse, fine, train=True)
-            return _weighted_sum(y, w)
-        return thunk, [x] + [t for _, t in T.named_leaves(params, "cfb", T.Parameter)]
-    cases.append(CheckCase("cross_fusion_block", cfb_builder))
-
-    def ism_builder(rng, dtype):
-        topo = _chain4()
-        adj = Tensor(normalized_adjacency(topo).astype(dtype))
-        params = blocks.IsmParams.init(channels=3, rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 3, 3, 4), dtype)
-        w = Tensor(rng.standard_normal((1, 6, 3, 4)).astype(dtype))
-
-        def thunk():
-            y = blocks.information_supplement(x, params, topo, adj, train=True)
-            return _weighted_sum(y, w)
-        return thunk, [x] + [t for _, t in T.named_leaves(params, "ism", T.Parameter)]
-    cases.append(CheckCase("information_supplement", ism_builder))
-
-    def head_builder(rng, dtype):
+    def head(rng, dtype):
         head = blocks.ClassifierHead.init(channels=3, classes=4, rng=rng, dtype=dtype)
         # zero-init head params would hide errors; perturb them for the check
         head.w.data = rng.standard_normal(head.w.shape).astype(dtype)
         head.b.data = rng.standard_normal(head.b.shape).astype(dtype)
-        x = _rand(rng, (2, 3, 4, 5), dtype)
-        w = Tensor(rng.standard_normal((2, 4)).astype(dtype))
-        return (lambda: _weighted_sum(blocks.classifier_head(x, head), w)), [x, head.w, head.b]
-    cases.append(CheckCase("classifier_head", head_builder))
+        return head
 
-    def gcnblock_builder(rng, dtype):
-        topo = _chain4()
-        adj = Tensor(normalized_adjacency(topo).astype(dtype))
-        params = gcn.GraphConvParams.init(c_in=3, c_out=3, kernel=3, rng=rng, dtype=dtype)
-        x = _rand(rng, (1, 3, 4, 4), dtype)
-        w = Tensor(rng.standard_normal((1, 3, 4, 4)).astype(dtype))
-
-        def thunk():
-            return _weighted_sum(gcn.gcn_block(x, params, adj, train=True), w)
-        return thunk, [x] + [t for _, t in T.named_leaves(params, "gcn", T.Parameter)]
-    cases.append(CheckCase("gcn_block", gcnblock_builder))
-
-    return cases
+    return [
+        block_case("correlation", pool, (1, 4, 3, 5), pooling.correlation),
+        block_case("spatial_pool", pool, (1, 4, 3, 5), lambda x, params, p:
+                   pooling.spatial_pool(x, pooling.correlation(x, params), p), overlap),
+        block_case("st_pool", pool, (1, 4, 4, 5), pooling.st_pool, overlap),
+        block_case("cross_fusion_block",
+                   partial(blocks.CrossFusionParams.init, c_in=4, c_out=4, ratio=2, kernel=3,
+                           fuse="sum", weight=0.5),
+                   (1, 4, 4, 4), partial(blocks.cross_fusion_block, train=True),
+                   regions, coarse, adj),
+        block_case("information_supplement", partial(blocks.IsmParams.init, channels=3),
+                   (1, 3, 3, 4), lambda x, params, a:
+                   blocks.information_supplement(x, params, chain, a, train=True), adj),
+        block_case("classifier_head", head, (2, 3, 4, 5), blocks.classifier_head),
+        block_case("gcn_block", partial(gcn.GraphConvParams.init, c_in=3, c_out=3, kernel=3),
+                   (1, 3, 4, 4), partial(gcn.gcn_block, train=True), adj),
+    ]
 
 
 def run_all(seeds=range(10), dtype=np.float64, eps: float = 1e-5, tol: float = 1e-4,
             names=None):
-    """Run every case; returns (name, max_rel_err, passed) triples."""
-    results = []
-    for case in operator_cases() + composite_cases():
-        if names is not None and case.name not in names:
-            continue
-        err = check_gradients(case, seeds=seeds, dtype=dtype, eps=eps)
-        results.append((case.name, err, err <= tol))
-    return results
+    """Run every case, or those in `names` (a name that matches no case raises
+    ValueError); returns (name, max_rel_err, passed) triples."""
+    cases = operator_cases() + composite_cases()
+    if names is not None:
+        unknown = set(names) - {case.name for case in cases}
+        if unknown:
+            raise ValueError(f"unknown gradcheck cases: {', '.join(map(repr, sorted(unknown)))}")
+        cases = [case for case in cases if case.name in names]
+    errs = [(case.name, check_gradients(case, seeds=seeds, dtype=dtype, eps=eps))
+            for case in cases]
+    return [(name, err, err <= tol) for name, err in errs]

@@ -314,7 +314,8 @@ def load_checkpoint(path: str) -> Model:
 
     The header must list exactly the model's `named_parameters()` and then its
     `named_state()`, in that order, with their shapes and a known dtype, and
-    the data blocks must end the file.
+    the data blocks must end the file. Every stored value must be finite and
+    every running variance non-negative.
     """
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
@@ -337,7 +338,9 @@ def load_checkpoint(path: str) -> Model:
     try:
         header = json.loads(blob.decode("utf-8"))
         config = config_from_doc(ModelConfig, header["config"])
-        seed = int(header.get("seed", 0))
+        seed = header.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
         sections = [[(m["name"], tuple(m["shape"]), m["dtype"]) for m in header[key]]
                     for key in ("params", "state")]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -356,6 +359,10 @@ def load_checkpoint(path: str) -> Model:
             dtype = np.dtype("<" + code)
             value = np.frombuffer(take(leaf.size * dtype.itemsize), dtype=dtype)
             value = value.reshape(shape).astype(model.dtype)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{path}: {name} holds a non-finite value")
+            if name.endswith(".running_var") and (value < 0).any():
+                raise ValueError(f"{path}: {name} holds a negative variance")
             if isinstance(leaf, Parameter):
                 leaf.assign(value)
             else:

@@ -26,7 +26,6 @@ class PoolingParams:
 
     w_phi: Parameter  # (channels, channels/ratio)
     w_psi: Parameter  # (channels, channels/ratio)
-    ratio: int
     sigma: str = "tanh"
 
     @classmethod
@@ -43,7 +42,7 @@ class PoolingParams:
         return cls(
             w_phi=Parameter(T.glorot(rng, (channels, proj)), dtype=dtype),
             w_psi=Parameter(T.glorot(rng, (channels, proj)), dtype=dtype),
-            ratio=ratio, sigma=sigma)
+            sigma=sigma)
 
 
 def correlation(x: Tensor, params: PoolingParams) -> Tensor:

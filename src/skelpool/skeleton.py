@@ -257,9 +257,22 @@ def topology_doc(topology: SkeletonTopology, scheme: PartitionScheme | None = No
     return doc
 
 
+def _exact(kind: type):
+    """A reader that returns a value of JSON type `kind` unchanged and raises
+    TypeError for any other (a bool is not an integer, 2.0 is not one either)."""
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not of type {kind.__name__}")
+        return value
+    return read
+
+
 def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]:
     """The topology of a document and, when it lists `stages`, its partition
-    scheme. A missing or malformed field raises ValueError naming the field."""
+    scheme. A missing or malformed field raises ValueError naming the field;
+    no value is converted to another type."""
+    integer = _exact(int)
+
     def field(key, read):
         if key in ("parents", "stages") and key not in doc:  # the optional fields
             return None
@@ -272,13 +285,15 @@ def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]
     if not isinstance(doc, dict):
         raise ValueError(f"topology document must be a JSON object, not {doc!r}")
     topo = SkeletonTopology(
-        name=field("name", str),
-        node_count=field("node_count", int),
-        edges=field("edges", lambda v: tuple((int(a), int(b)) for a, b in v)),
-        parents=field("parents", lambda v: {int(j): int(p) for j, p in v.items()}),
+        name=field("name", _exact(str)),
+        node_count=field("node_count", integer),
+        edges=field("edges", lambda v: tuple((integer(a), integer(b)) for a, b in v)),
+        # JSON object keys are strings: a parent map is keyed by the joint id's digits
+        parents=field("parents", lambda v: {int(j): integer(p) for j, p in v.items()}),
     )
     stages = field("stages", lambda v: tuple(
-        tuple((tuple(int(m) for m in row["members"]), int(row["new_id"])) for row in stage)
+        tuple((tuple(integer(m) for m in row["members"]), integer(row["new_id"]))
+              for row in stage)
         for stage in v))
     scheme = None if stages is None else PartitionScheme(topo.name, topo.node_count, stages)
     return topo, scheme

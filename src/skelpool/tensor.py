@@ -1,7 +1,7 @@
 """Minimal dense tensor core with recorded forward passes and reverse-mode gradients.
 
 The operator set is closed and enumerated: matrix product (plain and batched),
-pointwise add/sub/mul, scalar scale, bias/affine broadcasts on the channel axis,
+pointwise add and mul, scalar scale, bias/affine broadcasts on the channel axis,
 tanh, sigmoid, relu, softmax over the last axis, sum/mean reductions, temporal
 1-D convolution, pair-averaging over time, channel concatenation, reshape,
 transpose, explicit expansion, fused batch normalization and fused softmax
@@ -237,12 +237,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
     _same_dtype(a, b)
     return _apply("add", (a, b), lambda x, y: x + y, lambda g, ins, out: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    _same_dtype(a, b)
-    return _apply("sub", (a, b), lambda x, y: x - y, lambda g, ins, out: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

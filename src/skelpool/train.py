@@ -89,7 +89,7 @@ def sgd_nesterov_step(params: list[Parameter], grads: GradientSet, state: Optimi
         g = grads[p].data
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if weight_decay and getattr(p, "decay", True):
+        if weight_decay and p.decay:
             g = g + weight_decay * p.data
         v = state.velocity(p)
         v *= momentum

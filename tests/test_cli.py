@@ -152,8 +152,14 @@ def test_gradcheck_subset_passes(capsys):
     assert "ok" in out and "FAIL" not in out
 
 
-def test_gradcheck_unknown_op_exits_2():
-    assert main(["gradcheck", "--seeds", "1", "--ops", "warp"]) == 2
+def test_gradcheck_unknown_op_exits_2(capsys):
+    # every unknown name is refused and named, also next to known ones
+    for ops, unknown in (("warp", ["warp"]), ("tanh,tahn", ["tahn"]),
+                         ("add,sub,wrap", ["sub", "wrap"])):
+        assert main(["gradcheck", "--seeds", "1", "--ops", ops]) == 2, ops
+        captured = capsys.readouterr()
+        assert all(f"'{name}'" in captured.err for name in unknown), captured.err
+        assert "max rel err" not in captured.out
 
 
 def test_export_topology_round_trips(tmp_path):
@@ -276,6 +282,17 @@ MALFORMED_TOPOLOGIES = [
     ({"name": "x", "node_count": 2, "edges": [[1, 2]], "stages": [[{"members": 5}]]},
      "stages"),
     ({"node_count": 2, "edges": [[1, 2]]}, "name"),
+    # a value of the wrong JSON type is refused, not converted
+    ({"name": "x", "node_count": 3.7, "edges": [[1, 2]]}, "node_count"),
+    ({"name": "x", "node_count": "3", "edges": [[1, 2]]}, "node_count"),
+    ({"name": "x", "node_count": True, "edges": []}, "node_count"),
+    ({"name": 5, "node_count": 2, "edges": [[1, 2]]}, "name"),
+    ({"name": "x", "node_count": 2, "edges": [[1.9, 2]]}, "edges"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]],
+      "stages": [[{"members": [1, 2.5], "new_id": 1}]]}, "stages"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]],
+      "stages": [[{"members": [1, 2], "new_id": "1"}]]}, "stages"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"2": 1.0}}, "parents"),
 ]
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -247,7 +248,9 @@ class TestConfigDoc:
 # defect -> the message that names it
 MALFORMED = {"short_header": "truncated", "trailing_bytes": "trailing bytes",
              "no_state": "state entries do not match", "unknown_dtype": "unknown dtype",
-             "state_shape": "shape", "config_type": "config field 'ism'"}
+             "state_shape": "shape", "config_type": "config field 'ism'",
+             "seed_type": "seed must be a non-negative integer",
+             "nan_param": "non-finite value", "negative_var": "running_var holds a negative"}
 
 
 def malformed_checkpoint(tmp_path, case: str) -> bytes:
@@ -273,6 +276,17 @@ def malformed_checkpoint(tmp_path, case: str) -> bytes:
         meta["shape"] = [1]
     elif case == "config_type":
         header["config"]["ism"] = "false"  # a string, not a bool
+    elif case == "seed_type":
+        header["seed"] = "0"  # a string, not an integer
+    elif case in ("nan_param", "negative_var"):
+        # every entry is f4: overwrite the first value of the first parameter,
+        # or of the first running variance
+        entries = header["params"] + header["state"]
+        index = 0 if case == "nan_param" else next(
+            i for i, m in enumerate(entries) if m["name"].endswith(".running_var"))
+        at = 4 * sum(int(np.prod(m["shape"])) for m in entries[:index])
+        bad = struct.pack("<f", np.nan if case == "nan_param" else -0.5)
+        blocks = blocks[:at] + bad + blocks[at + 4 :]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return raw[:8] + struct.pack("<Q", len(blob)) + blob + blocks
 
@@ -312,8 +326,10 @@ class TestCheckpoint:
         path.write_bytes(malformed_checkpoint(tmp_path, case))
         data = tmp_path / "data.json"
         save_dataset(synth_generate(classes=8, per_class=1, frames=16, seed=1), str(data))
-        code = main([command, "--checkpoint", str(path), "--data", str(data),
-                     "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a damaged value must not reach numpy
+            code = main([command, "--checkpoint", str(path), "--data", str(data),
+                         "--out", str(tmp_path / "out")])
         assert code == 3
         assert f"error: {path}:" in capsys.readouterr().err
 
