@@ -36,12 +36,14 @@ class BatchNorm:
             running_var=np.ones(channels, dtype=dtype))
 
 
-def batch_normalize(x: Tensor, norm: BatchNorm, train: bool) -> Tensor:
+def batch_normalize(x: Tensor, norm: BatchNorm, train: bool, skip: Tensor | None = None,
+                    rectify: bool = False) -> Tensor:
     """Train mode: batch statistics (and a running-moment update). Eval mode:
     a pure affine map from the saved moments.
 
     In train mode the batch moments are computed once and shared by the
-    running-moment update and the normalization op.
+    running-moment update and the normalization op. `skip` and `rectify`
+    are passed to the operator, which adds the skip and rectifies in place.
     """
     if x.shape[1] != norm.gamma.shape[0]:
         raise ValueError(f"batch_normalize: {x.shape[1]} channels vs "
@@ -52,10 +54,12 @@ def batch_normalize(x: Tensor, norm: BatchNorm, train: bool) -> Tensor:
         mu, var = T.channel_moments(x.data)
         norm.running_mean += norm.momentum * (mu - norm.running_mean)
         norm.running_var += norm.momentum * (var - norm.running_var)
-        return T.batch_norm_train(x, norm.gamma, norm.beta, eps=norm.eps, moments=(mu, var))
+        return T.batch_norm_train(x, norm.gamma, norm.beta, eps=norm.eps, moments=(mu, var),
+                                  skip=skip, rectify=rectify)
     scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
     shift = norm.beta.data - norm.running_mean * scale
-    return T.channel_affine(x, Tensor(scale.astype(x.dtype)), Tensor(shift.astype(x.dtype)))
+    return T.channel_affine(x, Tensor(scale.astype(x.dtype)), Tensor(shift.astype(x.dtype)),
+                            skip=skip, rectify=rectify)
 
 
 def spatial_graph_conv(x: Tensor, w: Tensor, adjacency: Tensor) -> Tensor:
@@ -104,13 +108,11 @@ def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool
     """spatial conv -> norm -> rectifier -> temporal conv -> norm (+ skip) -> rectifier.
 
     Normalizing after each convolution keeps activations bounded across stacked
-    stages; the skip applies whenever shapes line up.
+    stages; the skip applies whenever shapes line up. Each norm records one
+    operator with its skip and rectifier, so neither pre-activation is stored.
     """
     y = spatial_graph_conv(x, params.w_spatial, adjacency)
-    y = batch_normalize(y, params.norm, train)
-    y = T.relu(y)
+    y = batch_normalize(y, params.norm, train, rectify=True)
     y = T.temporal_conv(y, params.w_temporal, stride=params.stride)
-    y = batch_normalize(y, params.norm_out, train)
-    if y.shape == x.shape:
-        y = T.add(y, x)
-    return T.relu(y)
+    return batch_normalize(y, params.norm_out, train,
+                           skip=x if y.shape == x.shape else None, rectify=True)

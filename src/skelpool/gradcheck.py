@@ -62,8 +62,12 @@ def check_gradients(case: CheckCase, seeds=range(10), dtype=np.float64, eps: flo
     """Max relative error of reverse-mode vs finite differences over all seeds.
 
     Relative error per element is |a - n| / max(1, |n|): relative for O(1)
-    gradients, absolute below that scale.
+    gradients, absolute below that scale. An empty `seeds` raises ValueError:
+    a check that ran nothing must not read as a pass.
     """
+    given, seeds = seeds, list(seeds)
+    if not seeds:
+        raise ValueError(f"gradient check needs at least one seed; {given!r} is empty")
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -88,6 +92,13 @@ def _away_from_zero(rng, shape, dtype, margin=0.1):
     mag = rng.uniform(margin, 1.5, size=shape)
     sign = rng.choice([-1.0, 1.0], size=shape)
     return Tensor((mag * sign).astype(dtype))
+
+
+def _skip_off_kink(rng, unskipped: Tensor) -> Tensor:
+    """A skip leaf that puts every pre-activation of a fused rectifier at
+    `_away_from_zero` values, given the operator's output without the skip."""
+    target = _away_from_zero(rng, unskipped.shape, unskipped.dtype)
+    return Tensor(target.data - unskipped.data)
 
 
 @dataclass
@@ -137,7 +148,13 @@ def operator_cases() -> list[CheckCase]:
         x = _rand(rng, (3, 4, 2, 2), dtype)
         g = Tensor(rng.uniform(0.5, 1.5, size=4).astype(dtype))
         b = _rand(rng, (4,), dtype)
-        return (lambda: T.batch_norm_train(x, g, b)), [x, g, b]
+        s = _skip_off_kink(rng, T.batch_norm_train(x, g, b))
+        return (lambda: T.batch_norm_train(x, g, b, skip=s, rectify=True)), [x, g, b, s]
+
+    def channel_affine(rng, dtype):
+        x, g, b = (_rand(rng, shape, dtype) for shape in ((2, 4, 3, 2), (4,), (4,)))
+        s = _skip_off_kink(rng, T.channel_affine(x, g, b))
+        return (lambda: T.channel_affine(x, g, b, skip=s, rectify=True)), [x, g, b, s]
 
     def cross_entropy(rng, dtype):
         logits = _rand(rng, (4, 5), dtype)
@@ -149,7 +166,7 @@ def operator_cases() -> list[CheckCase]:
         _op_case("mul", T.mul, (3, 4), (3, 4)),
         CheckCase("scale", WeightedLoss(scale)),
         _op_case("add_bias", T.add_bias, (2, 4, 3, 2), (4,)),
-        _op_case("channel_affine", T.channel_affine, (2, 4, 3, 2), (4,), (4,)),
+        CheckCase("channel_affine", WeightedLoss(channel_affine)),
         _op_case("expand", lambda x: T.expand(x, (2, 4, 3, 2)), (2, 1, 3, 1)),
         _op_case("tanh", T.tanh, (3, 5)),
         _op_case("sigmoid", T.sigmoid, (3, 5)),

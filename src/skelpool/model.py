@@ -344,7 +344,8 @@ def load_checkpoint(path: str) -> Model:
         sections = [[(m["name"], tuple(m["shape"]), m["dtype"]) for m in header[key]]
                     for key in ("params", "state")]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+        raise ValueError(f"{path}: malformed checkpoint header "
+                         f"({type(exc).__name__}: {exc})") from exc
     model = build_model(config, seed=seed)
 
     for kind, saved, leaves in (("parameter", sections[0], model.named_parameters()),

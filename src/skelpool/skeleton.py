@@ -7,6 +7,7 @@ three-stage region partitions (25 -> 10 -> 5 -> 2 and 15 -> 10 -> 5 -> 2).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,6 +268,14 @@ def _exact(kind: type):
     return read
 
 
+def _joint_key(key) -> int:
+    """A joint id written as a JSON object key (keys are always strings): plain
+    decimal digits without a leading zero, so no two spellings name one joint."""
+    if not isinstance(key, str) or not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValueError(f"key {key!r} is not a joint id in plain decimal digits")
+    return int(key)
+
+
 def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]:
     """The topology of a document and, when it lists `stages`, its partition
     scheme. A missing or malformed field raises ValueError naming the field;
@@ -288,8 +297,7 @@ def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]
         name=field("name", _exact(str)),
         node_count=field("node_count", integer),
         edges=field("edges", lambda v: tuple((integer(a), integer(b)) for a, b in v)),
-        # JSON object keys are strings: a parent map is keyed by the joint id's digits
-        parents=field("parents", lambda v: {int(j): integer(p) for j, p in v.items()}),
+        parents=field("parents", lambda v: {_joint_key(j): integer(p) for j, p in v.items()}),
     )
     stages = field("stages", lambda v: tuple(
         tuple((tuple(integer(m) for m in row["members"]), integer(row["new_id"]))

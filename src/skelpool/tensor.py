@@ -5,13 +5,18 @@ pointwise add and mul, scalar scale, bias/affine broadcasts on the channel axis,
 tanh, sigmoid, relu, softmax over the last axis, sum/mean reductions, temporal
 1-D convolution, pair-averaging over time, channel concatenation, reshape,
 transpose, explicit expansion, fused batch normalization and fused softmax
-cross-entropy. Every operator registers a backward rule and is covered by the
-finite-difference suite in `gradcheck`.
+cross-entropy. The batch-norm affine forms (`batch_norm_train`,
+`channel_affine`) optionally add an identity skip and apply the rectifier in
+the same operator. Every operator registers a backward rule and is covered by
+the finite-difference suite in `gradcheck`.
 
 Recording: operators executed inside a `with Tape() as t:` block append one
 entry each (operator id, input refs, output ref, replayable forward closure,
 backward closure). Outside a tape, operators just compute values (eval mode).
 `shape_record` records shapes instead; `scope` names the block that runs.
+`gradients` consumes a tape: each entry lets go of its arrays as soon as its
+backward has run, and the spent tape can be neither replayed nor
+differentiated again.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ class Tensor:
     """Dense row-major array of 32- or 64-bit scalars.
 
     Treated as immutable once constructed: operators never write into an
-    existing buffer, and records stay valid for replay. The one sanctioned
-    mutation is `Parameter.assign`, reserved for the training owner between
-    recorded passes.
+    existing buffer, so a tape replays bit for bit until `gradients` consumes
+    it. The one sanctioned mutation is `Parameter.assign`, reserved for the
+    training owner between recorded passes.
     """
 
     __slots__ = ("data",)
@@ -140,10 +145,15 @@ class Tape:
     Entries are appended in execution order, so every entry's inputs are
     produced by earlier entries or are leaves; reverse iteration is a valid
     reverse-topological order for gradient accumulation.
+
+    A tape is spent once `gradients` has swept it: its entries keep their
+    operator ids, so `len` still counts the recorded operators, but hold no
+    tensors or closures any more.
     """
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self.spent = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -158,6 +168,12 @@ class Tape:
 
     def __len__(self):
         return len(self.entries)
+
+
+def _require_unspent(tape: Tape) -> None:
+    if tape.spent:
+        raise RuntimeError("tape was consumed by gradients: its entries no longer hold "
+                           "their tensors; record a new tape")
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -265,22 +281,52 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
                   lambda g, ins, out: (g, g.sum(axis=reduce_axes)))
 
 
-def channel_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel scale and shift on axis 1 (the batch-norm affine form)."""
+def _skip_inputs(op: str, x: Tensor, skip: Tensor | None) -> tuple[Tensor, ...]:
+    """The optional identity-skip input of a fused affine operator, checked."""
+    if skip is None:
+        return ()
+    _require_same_shape(x, skip, op)
+    _same_dtype(x, skip)
+    return (skip,)
+
+
+def _add_rectify(out: np.ndarray, skip: tuple, rectify: bool) -> np.ndarray:
+    """The fused tail, in the output buffer: add the skip, then max(., 0)."""
+    for sd in skip:
+        out += sd
+    if rectify:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def channel_affine(x: Tensor, gamma: Tensor, beta: Tensor, skip: Tensor | None = None,
+                   rectify: bool = False) -> Tensor:
+    """Per-channel scale and shift on axis 1 (the batch-norm affine form).
+
+    `skip` (x's shape) is added after the shift and `rectify` applies max(., 0)
+    last, as in `batch_norm_train`.
+    """
     if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError(f"channel_affine: params {gamma.shape}/{beta.shape} vs input {x.shape}")
     _same_dtype(x, gamma, beta)
     expand = (1, -1) + (1,) * (x.ndim - 2)
     reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
+    skips = _skip_inputs("channel_affine", x, skip)
+
+    def fwd(xd, gd, bd, *sd):
+        out = xd * gd.reshape(expand)
+        out += bd.reshape(expand)
+        return _add_rectify(out, sd, rectify)
 
     def bwd(g, ins, out):
-        xd, gd, _ = ins
+        xd, gd = ins[:2]
+        if rectify:
+            g = g * (out > 0)
         return (g * gd.reshape(expand),
                 (g * xd).sum(axis=reduce_axes),
-                g.sum(axis=reduce_axes))
+                g.sum(axis=reduce_axes)) + (g,) * len(skips)
 
-    return _apply("channel_affine", (x, gamma, beta),
-                  lambda xd, gd, bd: xd * gd.reshape(expand) + bd.reshape(expand), bwd)
+    return _apply("channel_affine", (x, gamma, beta) + skips, fwd, bwd)
 
 
 def expand(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -604,7 +650,8 @@ def channel_moments(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-                     moments: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+                     moments: tuple[np.ndarray, np.ndarray] | None = None,
+                     skip: Tensor | None = None, rectify: bool = False) -> Tensor:
     """Normalize per channel with batch statistics over all non-channel axes.
 
     `moments`, when given, is the (mean, variance) pair of `x` from
@@ -613,12 +660,19 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     the inverse standard deviation; the backward recomputes the normalized
     input from them rather than holding an activation-sized copy. Replaying the
     recorded entry on its recorded inputs reuses those moments, bit for bit.
+
+    `skip` (an identity shortcut of x's shape) is added after the affine map,
+    and `rectify` applies max(., 0) last. Batch norm -> add -> relu is then
+    one entry that stores only its output, not the normalized pre-activation
+    or the sum; the backward masks the incoming gradient with `out > 0` and
+    passes the masked gradient on to the skip.
     """
     if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError("batch_norm_train: parameter shapes must match the channel axis")
     if x.size == 0 or x.shape[0] == 0:
         raise ValueError("batch_norm_train: empty batch")
     _same_dtype(x, gamma, beta)
+    skips = _skip_inputs("batch_norm_train", x, skip)
     axes = tuple(i for i in range(x.ndim) if i != 1)
     expand_shape = (1, -1) + (1,) * (x.ndim - 2)
     m = x.size // x.shape[1]
@@ -626,14 +680,16 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     mu = np.asarray(mu, dtype=x.dtype).reshape(expand_shape)
     inv_std = (1.0 / np.sqrt(np.asarray(var, dtype=x.dtype) + eps)).reshape(expand_shape)
 
-    def fwd(xd, gd, bd):
+    def fwd(xd, gd, bd, *sd):
         out = xd - mu
         out *= inv_std * gd.reshape(expand_shape)
         out += bd.reshape(expand_shape)
-        return out
+        return _add_rectify(out, sd, rectify)
 
     def bwd(g, ins, out):
-        xd, gd, _ = ins
+        xd, gd = ins[:2]
+        if rectify:
+            g = g * (out > 0)
         xhat = xd - mu
         xhat *= inv_std
         dbeta = g.sum(axis=axes)
@@ -643,9 +699,9 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         dx = np.subtract(g, xhat, out=xhat)
         dx -= (dbeta / m).reshape(expand_shape)
         dx *= inv_std * gd.reshape(expand_shape)
-        return dx, dgamma, dbeta
+        return (dx, dgamma, dbeta) + (g,) * len(skips)
 
-    return _apply("batch_norm", (x, gamma, beta), fwd, bwd)
+    return _apply("batch_norm", (x, gamma, beta) + skips, fwd, bwd)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -702,11 +758,16 @@ class GradientSet:
 
 
 def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientSet:
-    """Reverse-accumulate d(output)/d(leaf) over a recorded tape.
+    """Reverse-accumulate d(output)/d(leaf) over a recorded tape, consuming it.
 
     `output` must be scalar. Forward values are left untouched. A leaf the
     output does not depend on gets a zero gradient and is flagged in
     `GradientSet.unreached`.
+
+    Each entry drops its inputs, output and closures as soon as the sweep has
+    passed it, so an activation is freed once the last backward that reads it
+    has run, not when the tape dies. The tape is then spent (`Tape.spent`):
+    a second `gradients` or a `verify_replay` on it raises RuntimeError.
     """
     leaves = list(leaves)
     if output.shape != ():
@@ -716,18 +777,29 @@ def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientS
         if id(leaf) in seen:
             raise ValueError("duplicate leaf in gradient request")
         seen.add(id(leaf))
+    _require_unspent(tape)
+    tape.spent = True
 
+    # Gradients are keyed by id(). Only those something reads are kept: a
+    # leaf's, or the output's of an entry not yet swept. Every such tensor is
+    # alive now, so a constant input (freed during the sweep) never shares an
+    # id with one, and its gradient is dropped.
+    read = seen | {id(entry.output) for entry in tape.entries}
     grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=output.dtype)}
     # Tensors whose accumulated gradient is an array this loop allocated (a
     # sum); only those are added into in place. A backward may return views
     # of its inputs, or one array for two inputs (`add`), which stay untouched.
     owned: set[int] = set()
     for entry in reversed(tape.entries):
-        g = grads.pop(id(entry.output), None)
+        inputs, out, backward = entry.inputs, entry.output, entry.backward
+        entry.inputs = entry.output = entry.forward = entry.backward = None
+        g = grads.pop(id(out), None)
         if g is None:
             continue
-        in_grads = entry.backward(g, tuple(t.data for t in entry.inputs), entry.output.data)
-        for t, ig in zip(entry.inputs, in_grads):
+        in_grads = backward(g, tuple(t.data for t in inputs), out.data)
+        for t, ig in zip(inputs, in_grads):
+            if id(t) not in read:
+                continue
             acc = grads.get(id(t))
             if acc is None:
                 grads[id(t)] = ig
@@ -751,7 +823,10 @@ def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientS
 
 
 def verify_replay(tape: Tape) -> None:
-    """Re-run every recorded entry and require bitwise-identical outputs."""
+    """Re-run every recorded entry and require bitwise-identical outputs.
+
+    The tape must not have been consumed by `gradients` (RuntimeError)."""
+    _require_unspent(tape)
     for i, entry in enumerate(tape.entries):
         redo = entry.forward(*[t.data for t in entry.inputs])
         if not np.array_equal(redo, entry.output.data):

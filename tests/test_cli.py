@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -162,6 +163,14 @@ def test_gradcheck_unknown_op_exits_2(capsys):
         assert "max rel err" not in captured.out
 
 
+def test_gradcheck_empty_seed_range_exits_2(capsys):
+    for seeds in ("0", "-3"):
+        assert main(["gradcheck", "--seeds", seeds, "--ops", "tanh,matmul"]) == 2, seeds
+        captured = capsys.readouterr()
+        assert "at least one seed" in captured.err
+        assert "max rel err" not in captured.out and "ok" not in captured.out
+
+
 def test_export_topology_round_trips(tmp_path):
     out = tmp_path / "ntu.json"
     assert main(["export-topology", "--topology", "ntu25", "--out", str(out)]) == 0
@@ -293,12 +302,35 @@ MALFORMED_TOPOLOGIES = [
     ({"name": "x", "node_count": 2, "edges": [[1, 2]],
       "stages": [[{"members": [1, 2], "new_id": "1"}]]}, "stages"),
     ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"2": 1.0}}, "parents"),
+    # a parent key is a joint id in plain digits: no sign, space or leading zero,
+    # so two spellings cannot collapse into one entry
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {" 2": 1}}, "parents"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"+2": 1}}, "parents"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"02": 1}}, "parents"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"2": 1, "02": 1}},
+     "parents"),
 ]
 
 
+@pytest.fixture(scope="module")
+def topology_checkpoint(tmp_path_factory):
+    """(magic and version bytes, header, blobs) of a small checkpoint whose
+    config holds a topology document."""
+    from skelpool.model import build_model, save_checkpoint
+
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    doc = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+    save_checkpoint(build_model(ModelConfig(topology=doc, classes=3, frames=8,
+                                            channels=(4, 8, 8), ism_channels=4), seed=0),
+                    str(path))
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return raw[:8], json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+
 @pytest.mark.parametrize("doc, named", MALFORMED_TOPOLOGIES)
-def test_malformed_topology_document_exits_with_message(workdir, tmp_path, capsys, doc,
-                                                        named):
+def test_malformed_topology_document_exits_with_message(workdir, topology_checkpoint,
+                                                        tmp_path, capsys, doc, named):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {"topology": doc}}))
     assert main(["flops", "--config", str(config)]) == 2
@@ -311,6 +343,15 @@ def test_malformed_topology_document_exits_with_message(workdir, tmp_path, capsy
                 + FAST_TRAIN) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}:") and f"'{named}'" in err
+    magic, header, blobs = topology_checkpoint
+    header = {**header, "config": {**header["config"], "topology": doc}}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+                 "--out", str(tmp_path / "scores.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}:") and f"'{named}'" in err
 
 
 def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):

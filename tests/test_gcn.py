@@ -165,6 +165,30 @@ class TestGcnBlock:
         out = gcn_block(rand((2, 3, 6, 4), seed=17), params, self._adj(), train=True)
         assert out.shape == (2, 5, 6, 4)
 
+    def test_tape_holds_four_activation_sized_arrays(self):
+        # spatial conv (two), then each norm with its skip and rectifier as one
+        # operator: the normalized pre-activations and the sum are never stored
+        params = GraphConvParams.init(3, 3, kernel=3,
+                                      rng=np.random.default_rng(20), dtype=np.float64)
+        x = rand((2, 3, 6, 4), seed=21)
+        with T.Tape() as tape:
+            out = gcn_block(x, params, self._adj(), train=True)
+        assert [e.op for e in tape.entries] == \
+            ["conv1x1", "matmul", "batch_norm", "temporal_conv", "batch_norm"]
+        held = {id(t.data) for e in tape.entries for t in (*e.inputs, e.output)
+                if t.shape == x.shape}
+        assert len(held - {id(x.data), id(out.data)}) == 4
+
+    def test_eval_mode_fuses_the_same_chain(self):
+        params = GraphConvParams.init(3, 3, kernel=3,
+                                      rng=np.random.default_rng(22), dtype=np.float64)
+        x = rand((2, 3, 6, 4), seed=23)
+        with T.shape_record() as record:
+            gcn_block(x, params, self._adj(), train=False)
+        assert [op for _, op, _, _ in record] == \
+            ["conv1x1", "matmul", "channel_affine", "temporal_conv", "channel_affine"]
+        assert record[-1][2][3] == x.shape  # the skip enters the last operator
+
     def test_eval_forward_deterministic(self):
         params = GraphConvParams.init(3, 3, kernel=3,
                                       rng=np.random.default_rng(18), dtype=np.float64)

@@ -27,6 +27,13 @@ def test_gradients_match_finite_differences(name):
     assert err <= 1e-4, f"{name}: max relative error {err:.3e}"
 
 
+@pytest.mark.parametrize("seeds", [range(0), range(-3), []])
+def test_empty_seed_range_is_refused(seeds):
+    # a check that ran nothing must not report error 0 as a pass
+    with pytest.raises(ValueError, match="at least one seed"):
+        check_gradients(CASES["tanh"], seeds=seeds)
+
+
 def test_registry_covers_required_composites():
     required = {"correlation", "spatial_pool", "cross_fusion_block",
                 "information_supplement", "classifier_head", "cross_entropy"}

@@ -1,6 +1,7 @@
 """Tensor core: operator semantics, recording, replay, and gradient evaluation."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -360,3 +361,90 @@ def test_fan_out_accumulation_leaves_shared_gradients_intact():
     gs = gradients(tape, loss, [x, y])
     np.testing.assert_array_equal(gs[x].data, [1.0, 1.0])
     np.testing.assert_array_equal(gs[y].data, [6.0, 6.0])
+
+
+# ---------------------------------------------------------------------------
+# a tape is spent by `gradients`
+
+
+def test_gradients_free_intermediate_arrays_while_the_tape_lives():
+    x = Tensor(np.random.default_rng(40).standard_normal((3, 4)))
+    with Tape() as tape:
+        h = T.tanh(x)
+        const = Tensor(np.full((3, 4), 2.0))  # an input no gradient is asked for
+        loss = T.tsum(T.mul(h, const))
+    arrays = [weakref.ref(h.data), weakref.ref(const.data)]
+    del h, const
+    assert all(ref() is not None for ref in arrays)
+    gs = gradients(tape, loss, [x])
+    assert all(ref() is None for ref in arrays)
+    np.testing.assert_allclose(gs[x].data, 2.0 * (1.0 - np.tanh(x.data) ** 2))
+    assert tape.spent and len(tape) == 3
+    assert [e.op for e in tape.entries] == ["tanh", "mul", "sum"]
+    assert all(e.inputs is e.output is e.forward is e.backward is None for e in tape.entries)
+
+
+def test_spent_tape_refuses_replay_and_a_second_sweep():
+    x = scalar(3.0)
+    with Tape() as tape:
+        y = T.mul(x, x)
+    verify_replay(tape)  # an unspent tape replays, and stays unspent
+    gradients(tape, y, [x])
+    for again in (lambda: verify_replay(tape), lambda: gradients(tape, y, [x])):
+        with pytest.raises(RuntimeError, match="consumed by gradients"):
+            again()
+
+
+def test_rejected_request_leaves_the_tape_unspent():
+    x = Tensor(np.ones((2, 2)))
+    with Tape() as tape:
+        y = T.tanh(x)
+    with pytest.raises(ValueError, match="scalar"):
+        gradients(tape, y, [x])
+    assert not tape.spent
+    verify_replay(tape)
+
+
+# ---------------------------------------------------------------------------
+# batch norm and channel affine with a fused skip and rectifier
+
+
+def _affine_leaves(rng, dtype, skip):
+    x = Tensor(rng.standard_normal((3, 4, 5, 6)).astype(dtype))
+    g = Tensor(rng.uniform(0.5, 1.5, size=4).astype(dtype))
+    b = Tensor(rng.standard_normal(4).astype(dtype))
+    s = Tensor(rng.standard_normal(x.shape).astype(dtype))
+    return [x, g, b, s] if skip else [x, g, b]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("op", [T.batch_norm_train, T.channel_affine])
+def test_fused_skip_and_rectifier_equal_the_three_op_chain(op, skip, dtype):
+    leaves = _affine_leaves(np.random.default_rng(41), dtype, skip)
+
+    def chain(x, g, b, *s):
+        y = op(x, g, b)
+        return T.relu(T.add(y, s[0]) if s else y)
+
+    def fused(x, g, b, *s):
+        return op(x, g, b, skip=s[0] if s else None, rectify=True)
+
+    want = _fwd_and_grads(chain, leaves, seed=42)
+    got = _fwd_and_grads(fused, leaves, seed=42)
+    assert (got[0] == 0).any() and (got[0] > 0).any()
+    np.testing.assert_array_equal(got[0], want[0])
+    for g_got, g_want in zip(got[2], want[2]):
+        np.testing.assert_array_equal(g_got, g_want)
+    with Tape() as tape:
+        fused(*leaves)
+    assert [e.op for e in tape.entries] == [op.__name__.replace("_train", "")]
+
+
+@pytest.mark.parametrize("op", [T.batch_norm_train, T.channel_affine])
+def test_fused_skip_must_match_the_input(op):
+    x, g, b = _affine_leaves(np.random.default_rng(43), np.float64, skip=False)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        op(x, g, b, skip=Tensor(np.zeros((3, 4, 5, 1))))
+    with pytest.raises(ValueError, match="mixed dtypes"):
+        op(x, g, b, skip=Tensor(np.zeros(x.shape, np.float32)))
