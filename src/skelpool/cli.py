@@ -22,7 +22,8 @@ from .flops import count_flops, no_pooling_control
 from .gradcheck import run_all
 from .model import (FIELD_CHOICES, ModelConfig, build_model, config_doc, config_from_doc,
                     load_checkpoint, save_checkpoint)
-from .skeleton import builtin_names, builtin_partition, builtin_topology, topology_doc
+from .skeleton import (builtin_names, builtin_partition, builtin_topology, topology_doc,
+                       unique_keys)
 from .tensor import NonFiniteError
 
 
@@ -38,7 +39,7 @@ def _read_config(path: str | None) -> dict:
     if path:
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=unique_keys)
         except ValueError as exc:
             raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):

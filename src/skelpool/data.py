@@ -2,10 +2,11 @@
 multi-stream score fusion.
 
 Datasets are single JSON documents (64-bit coordinates, inspectable and
-diffable); score files are plain comma-separated rows. The synthetic generator
-assigns each class a parametric motion on the kinematic tree: localized limb
-oscillations for most classes, whole-body bounce for every fourth, so classes
-differ by active region, frequency, axis, and phase.
+diffable); score files are plain comma-separated rows closed by an end-marker
+line with the row count. The synthetic generator assigns each class a
+parametric motion on the kinematic tree: localized limb oscillations for most
+classes, whole-body bounce for every fourth, so classes differ by active
+region, frequency, axis, and phase.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import SkeletonTopology, load_topology
+from .skeleton import SkeletonTopology, load_topology, unique_keys
 from .tensor import Tensor
 
 
@@ -69,8 +70,8 @@ def save_dataset(ds: Dataset, path: str) -> None:
         "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
                     for s in ds.sequences],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    with open(path, "w") as fh:  # one C-encoded string: `json.dump` encodes in Python
+        fh.write(json.dumps(doc))
 
 
 _JSON_TYPES = {str: "string", int: "integer", list: "array", dict: "object"}
@@ -98,9 +99,10 @@ def _sequence(doc, i: int) -> LabeledSequence:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; a missing or wrongly typed field raises ValueError."""
+    """Read a dataset file; a missing or wrongly typed field, or a key repeated
+    in one JSON object, raises ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=unique_keys)
     topology = _field(doc, "topology", (str, dict), "dataset")
     topo, _ = load_topology(topology)
     ds = Dataset(
@@ -293,25 +295,42 @@ class ScoreFile:
         return float((np.argmax(self.scores, axis=1) == self.labels).mean())
 
 
+END_MARKER = "#end"  # last line of a score file: "#end,<rows>"
+
+
 def save_scores(sf: ScoreFile, path: str) -> None:
+    """One line per sample, `id,label,score_1,...,score_K`, then the end marker
+    with the row count, so a file cut short anywhere does not load."""
     with open(path, "w") as fh:
         for i, sample_id in enumerate(sf.ids):
             row = ",".join(repr(float(v)) for v in sf.scores[i])
             fh.write(f"{sample_id},{int(sf.labels[i])},{row}\n")
+        fh.write(f"{END_MARKER},{len(sf.ids)}\n")
 
 
 def load_scores(path: str) -> ScoreFile:
     """A score file; a line that is not UTF-8 text, or whose label is not an
     integer in 0..K-1 for its K scores, or whose scores are not finite numbers,
-    raises ValueError naming the file and the line."""
+    raises ValueError naming the file and the line. After the line checks, the
+    file must end in a complete end-marker line whose count is its row count:
+    a file cut at a line break or inside a number raises ValueError."""
     ids, labels, rows = [], [], []
+    end = None  # (line number, counted rows, complete line) of the end marker
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
             try:  # UnicodeDecodeError is a ValueError
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                sample_id, label, *row = line.split(",")
+                if end is not None:
+                    raise ValueError(f"text after the end marker on line {end[0]}")
+                fields = line.split(",")
+                if fields[0] == END_MARKER and len(fields) == 2:
+                    if not fields[1].isdigit():
+                        raise ValueError(f"end marker {line!r} holds no row count")
+                    end = (number, int(fields[1]), raw.endswith(b"\n"))
+                    continue
+                sample_id, label, *row = fields
                 label, row = int(label), [float(v) for v in row]
                 if not (row and 0 <= label < len(row) and np.isfinite(row).all()):
                     raise ValueError(f"need an integer label in 0..K-1 and K finite "
@@ -323,6 +342,12 @@ def load_scores(path: str) -> ScoreFile:
             rows.append(row)
     if not ids:
         raise ValueError(f"{path}: empty score file")
+    if end is None or not end[2]:
+        raise ValueError(f"{path}: no complete '{END_MARKER},<rows>' line at the end; "
+                         "the file is cut short")
+    if end[1] != len(ids):
+        raise ValueError(f"{path}: the end marker counts {end[1]} rows, the file holds "
+                         f"{len(ids)}; the file is cut short")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent score vector lengths {sorted(widths)}")

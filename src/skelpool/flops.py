@@ -46,7 +46,7 @@ class FlopsReport:
 # listed (additions, rectifiers, reshapes, ...) are free.
 _MACS = {
     "conv1x1": lambda ins, out: math.prod(out) * ins[1][0],
-    "matmul": lambda ins, out: math.prod(out) * ins[0][-1],
+    **dict.fromkeys(("matmul", "assign_pool"), lambda ins, out: math.prod(out) * ins[0][-1]),
     "temporal_conv": lambda ins, out: math.prod(out) * ins[1][1] * ins[1][2],
     "mean": lambda ins, out: math.prod(ins[0]),
     **dict.fromkeys(("mul", "scale", "batch_norm", "channel_affine", "pair_avg_time"),

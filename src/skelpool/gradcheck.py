@@ -176,6 +176,7 @@ def operator_cases() -> list[CheckCase]:
         _op_case("mean", lambda x: T.tmean(x, axes=(1,)), (2, 3, 4)),
         _op_case("matmul", T.matmul, (4, 3), (3, 2)),
         _op_case("matmul_batched", T.matmul, (2, 3, 4, 3), (3, 2)),
+        _op_case("assign_pool", T.assign_pool, (2, 3, 4, 5), (2, 4, 5, 3)),
         _op_case("conv1x1", T.conv1x1, (2, 6, 3, 4), (6, 2)),
         *(_op_case(f"temporal_conv_s{stride}", partial(T.temporal_conv, stride=stride),
                    (2, 3, 7, 2), (4, 3, 5)) for stride in (1, 2)),

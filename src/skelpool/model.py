@@ -26,7 +26,8 @@ from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      fuse_branches, global_average, information_supplement)
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
-from .skeleton import SkeletonTopology, load_topology, normalized_adjacency, stage_matrices
+from .skeleton import (SkeletonTopology, load_topology, normalized_adjacency, stage_matrices,
+                       unique_keys)
 from .tensor import Parameter, Tensor, named_leaves, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
@@ -336,7 +337,7 @@ def load_checkpoint(path: str) -> Model:
     (hlen,) = struct.unpack("<Q", take(8))
     blob = take(hlen).tobytes()
     try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
         config = config_from_doc(ModelConfig, header["config"])
         seed = header.get("seed", 0)
         if type(seed) is not int or seed < 0:

@@ -81,15 +81,17 @@ def spatial_pool(x: Tensor, corr: Tensor | None, assignment: Tensor,
     """Contract nodes onto regions: sum of member features weighted by 1 + corr.
 
     The weight 1 + corr is formed on the (batch, frames, nodes) field and
-    broadcast over channels once, so the input is multiplied by one weight
-    map, (x * (1 + corr)) @ assignment, rather than added to its weighted
-    copy. With `corr=None` the correlation term is dropped (plain structural
-    pooling); with `residual=False` only the correlation-weighted path
-    remains, (x * corr) @ assignment.
+    folded into the assignment, one weighted (nodes, regions) matrix per batch
+    entry and frame, M = (1 + corr) * assignment; `assign_pool` then contracts
+    the input's node axis with M. No weight map of the input's size is formed:
+    the expanded weights and their product with the assignment are
+    (batch, frames, nodes, regions). With `corr=None` the correlation term is
+    dropped (plain structural pooling, x @ assignment); with `residual=False`
+    only the correlation-weighted path remains, M = corr * assignment.
     """
     if x.ndim != 4:
         raise ValueError("spatial_pool expects a 4-D feature map")
-    b, c, t, n = x.shape
+    b, _, t, n = x.shape
     if assignment.ndim != 2 or assignment.shape[0] != n:
         raise ValueError(f"assignment {assignment.shape} does not match {n} nodes")
     if corr is None:
@@ -98,8 +100,10 @@ def spatial_pool(x: Tensor, corr: Tensor | None, assignment: Tensor,
         raise ValueError(f"correlation field {corr.shape} != {(b, t, n)}")
     if residual:
         corr = T.add(corr, Tensor(np.ones(corr.shape, dtype=corr.dtype)))
-    weights = T.expand(T.reshape(corr, (b, 1, t, n)), (b, c, t, n))
-    return T.matmul(T.mul(x, weights), assignment)
+    shape = (b, t, n, assignment.shape[1])
+    weights = T.expand(T.reshape(corr, (b, t, n, 1)), shape)
+    tiled = Tensor(np.broadcast_to(assignment.data, shape))  # a constant, not a copy
+    return T.assign_pool(x, T.mul(weights, tiled))
 
 
 def st_pool(x: Tensor, params: PoolingParams | None, assignment: Tensor,

@@ -258,6 +258,18 @@ def topology_doc(topology: SkeletonTopology, scheme: PartitionScheme | None = No
     return doc
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`object_pairs_hook` for `json.load`: the object as a dict; a key that
+    occurs twice in one object raises ValueError naming it (`json` alone keeps
+    the last value without a word)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def _exact(kind: type):
     """A reader that returns a value of JSON type `kind` unchanged and raises
     TypeError for any other (a bool is not an integer, 2.0 is not one either)."""

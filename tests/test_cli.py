@@ -354,6 +354,65 @@ def test_malformed_topology_document_exits_with_message(workdir, topology_checkp
     assert err.startswith(f"error: {ckpt}:") and f"'{named}'" in err
 
 
+# a topology document whose `parents` object names joint 2 twice; json alone keeps
+# the last value and reads parents {2: 1, 3: 1}
+REPEATED_PARENTS = ('{"name": "x", "node_count": 3, "edges": [[1, 2], [2, 3]], '
+                    '"parents": {"2": 3, "3": 1, "2": 1}}')
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"model": {"topology": %s}}' % REPEATED_PARENTS, "2"),
+    ('{"model": {"ratio": 2, "ratio": 4}}', "ratio"),
+    ('{"model": {}, "train": {}, "model": {"ratio": 2}}', "model"),
+], ids=["topology-parents", "field", "section"])
+def test_config_with_repeated_key_exits_3_naming_it(tmp_path, capsys, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["flops", "--config", str(config)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {config}: invalid JSON")
+    assert f"repeated JSON key '{key}'" in err
+
+
+@pytest.mark.parametrize("original, repeated, key", [
+    ('"topology": "uwa15"', '"topology": %s' % REPEATED_PARENTS, "2"),
+    ('"split": "train"', '"split": "train", "split": "test"', "split"),
+    ('"label": 0', '"label": 0, "label": 0', "label"),
+], ids=["topology-parents", "top-level", "sample-field"])
+def test_dataset_with_repeated_key_exits_3_naming_it(workdir, tmp_path, capsys, original,
+                                                     repeated, key):
+    text = (workdir / "train.json").read_text()
+    assert original in text
+    data = tmp_path / "train.json"
+    data.write_text(text.replace(original, repeated, 1))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                + FAST_TRAIN) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:") and f"repeated JSON key '{key}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("placeholder, repeated, key", [
+    ('"topology": "@"', '"topology": %s' % REPEATED_PARENTS, "2"),
+    ('"seed": 0', '"seed": 0, "seed": 0', "seed"),
+], ids=["topology-parents", "seed"])
+def test_checkpoint_header_with_repeated_key_exits_3_naming_it(workdir, topology_checkpoint,
+                                                               tmp_path, capsys, placeholder,
+                                                               repeated, key):
+    magic, header, blobs = topology_checkpoint
+    header = {**header, "config": {**header["config"], "topology": "@"}}
+    text = json.dumps(header, sort_keys=True)
+    assert placeholder in text
+    blob = text.replace(placeholder, repeated, 1).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+                 "--out", str(tmp_path / "scores.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: malformed checkpoint header")
+    assert f"repeated JSON key '{key}'" in err
+
+
 def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):
     doc = json.loads((workdir / "train.json").read_text())
     doc["topology"] = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))

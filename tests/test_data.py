@@ -1,5 +1,6 @@
 """Dataset files, synthetic generation, resampling, streams, score fusion."""
 
+import io
 import json
 
 import numpy as np
@@ -23,6 +24,16 @@ class TestDatasetIO:
         for a, b in zip(ds.sequences, back.sequences):
             assert a.id == b.id and a.label == b.label
             assert np.array_equal(a.frames, b.frames)
+
+    def test_file_bytes_equal_streamed_json_dump(self, tmp_path):
+        ds = synth_generate(3, 2, 10, "uwa15", noise=0.02, seed=1)
+        path = tmp_path / "d.json"
+        save_dataset(ds, str(path))
+        streamed = io.StringIO()
+        json.dump({"topology": ds.topology, "classes": ds.classes, "split": ds.split,
+                   "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
+                               for s in ds.sequences]}, streamed)
+        assert path.read_bytes() == streamed.getvalue().encode()
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -217,6 +228,40 @@ def test_score_file_round_trip(tmp_path):
     assert back.ids == sf.ids
     assert np.array_equal(back.labels, sf.labels)
     assert np.array_equal(back.scores, sf.scores)
+
+
+class TestScoreFileEndMarker:
+    def _saved(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        save_scores(make_scores(["a", "b"], [0, 1], [[0.25, 0.75], [0.5, 0.5]]), str(path))
+        return path, path.read_bytes()
+
+    def test_last_line_counts_the_rows(self, tmp_path):
+        _, raw = self._saved(tmp_path)
+        assert raw.endswith(b"b,1,0.5,0.5\n#end,2\n")
+
+    @pytest.mark.parametrize("cut, message", [
+        pytest.param(lambda raw: raw[:-1], "no complete", id="marker-line-break"),
+        pytest.param(lambda raw: raw[:-2], "line 3: end marker '#end,' holds no row count",
+                     id="marker-count"),
+        pytest.param(lambda raw: raw[: raw.index(b"#end")], "no complete",
+                     id="line-break-before-marker"),
+        pytest.param(lambda raw: raw[: raw.index(b"#end") - 3], "no complete",
+                     id="last-number"),  # the last score 0.5 becomes 0
+        pytest.param(lambda raw: raw.replace(b"#end,2", b"#end,3"),
+                     "counts 3 rows, the file holds 2", id="wrong-count"),
+    ])
+    def test_file_cut_short_is_rejected(self, tmp_path, cut, message):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(cut(raw))
+        with pytest.raises(ValueError, match=message):
+            load_scores(str(path))
+
+    def test_text_after_the_marker_is_rejected_naming_its_line(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + b"c,0,0.5,0.5\n")
+        with pytest.raises(ValueError, match="line 4: text after the end marker on line 3"):
+            load_scores(str(path))
 
 
 def test_to_arrays_stacks_and_validates():

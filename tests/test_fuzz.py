@@ -1,9 +1,9 @@
 """Damaged input files: prefix truncations and seeded byte flips of a checkpoint,
 a dataset, a score file and a --config topology document, run through the CLI.
 
-A damaged file either still parses (a flipped digit is a different number, a
-score file cut at a line break is a shorter file) and the command succeeds,
-or the command exits 2, 3 or 4 with an `error:` line. It never raises.
+A flipped byte may still parse (a flipped digit is a different number), and
+the command then succeeds; a prefix never does. Otherwise the command exits 2,
+3 or 4 with an `error:` line. It never raises.
 """
 
 import json
@@ -78,9 +78,9 @@ def test_damaged_file_exits_with_message(files, tmp_path, capsys, kind):
             continue
         err = capsys.readouterr().err
         rejected = code in (2, 3, 4) and any(l.startswith("error:") for l in err.splitlines())
-        # a prefix of a JSON document or checkpoint never parses; a score file cut
-        # at a line break or inside its last number may
-        may_parse = case.startswith("flip") or kind == "scores"
+        # a prefix never parses: not of a JSON document or checkpoint, nor of a
+        # score file, whose end-marker line counts its rows
+        may_parse = case.startswith("flip")
         if not (rejected or code == 0 and may_parse):
             failures.append(f"{case}: exit {code}, stderr {err[-200:]!r}")
     assert not failures, f"{len(failures)} cases:\n" + "\n".join(failures[:20])

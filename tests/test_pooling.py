@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from skelpool import pooling
 from skelpool import tensor as T
 from skelpool.gradcheck import _fd_on_leaf
+from skelpool.model import ModelConfig, build_model
 from skelpool.pooling import PoolingParams, correlation, spatial_pool, st_pool
 from skelpool.skeleton import build_assignment, builtin_partition
 from skelpool.tensor import Tape, Tensor, gradients
@@ -245,3 +247,34 @@ class TestStPool:
         st_pool(Tensor(np.random.default_rng(29).standard_normal((2, 4, 4, 4))),
                 params, assign, corr_out=sink)
         assert len(sink) == 1 and sink[0].shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("variant, calls", [("light", 3), ("heavy", 6)])
+def test_pooling_weights_are_assignment_sized_not_activation_sized(monkeypatch, variant,
+                                                                   calls):
+    """The expand and mul that each spatial pool records in a train forward are
+    (batch, frames, nodes, regions), never the (batch, channels, frames, nodes)
+    activation: the weight map folds into the assignment."""
+    seen = []
+    real = pooling.spatial_pool
+
+    def scoped(x, corr, assignment, residual=True):
+        seen.append((x.shape, assignment.shape))
+        with T.scope(f"spatial_pool{len(seen)}"):
+            return real(x, corr, assignment, residual=residual)
+
+    monkeypatch.setattr(pooling, "spatial_pool", scoped)
+    model = build_model(ModelConfig(variant=variant, topology="uwa15", classes=3, frames=8,
+                                    channels=(4, 8, 8), ism_channels=4))
+    x = Tensor(np.random.default_rng(30).standard_normal((2, 3, 8, 15)).astype(np.float32))
+    with T.shape_record() as record:
+        model.logits(x, train=True)
+    assert len(seen) == calls
+    for i, ((b, c, t, n), (_, r)) in enumerate(seen, 1):
+        ops = [(op, out) for path, op, _, out in record
+               if path.split(".")[-1] == f"spatial_pool{i}"]
+        assert [op for op, _ in ops if op in ("expand", "mul", "assign_pool")] == \
+            ["expand", "mul", "assign_pool"]
+        for op, out in ops:
+            if op in ("expand", "mul"):
+                assert out == (b, t, n, r) != (b, c, t, n), (i, op, out)

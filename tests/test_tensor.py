@@ -258,6 +258,37 @@ def test_conv1x1_matches_einsum(dtype):
     np.testing.assert_allclose(gw, np.einsum("bctn,botn->co", x.data, r), **_tol(dtype))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_assign_pool_matches_einsum(dtype):
+    rng = np.random.default_rng(30)
+    x = Tensor(rng.standard_normal((3, 5, 4, 6)).astype(dtype))
+    m = Tensor(rng.standard_normal((3, 4, 6, 2)).astype(dtype))
+    out, r, (gx, gm) = _fwd_and_grads(T.assign_pool, [x, m], seed=31)
+    np.testing.assert_allclose(out, np.einsum("bctn,btnr->bctr", x.data, m.data), **_tol(dtype))
+    np.testing.assert_allclose(gx, np.einsum("bctr,btnr->bctn", r, m.data), **_tol(dtype))
+    np.testing.assert_allclose(gm, np.einsum("bctn,bctr->btnr", x.data, r), **_tol(dtype))
+
+
+@pytest.mark.parametrize("m_shape", [
+    (2, 4, 5),        # rank 3
+    (3, 4, 5, 2),     # batch differs
+    (2, 3, 5, 2),     # frames differ
+    (2, 4, 6, 2),     # nodes differ
+])
+def test_assign_pool_rejects_mismatched_assignments(m_shape):
+    x = Tensor(np.zeros((2, 3, 4, 5)))
+    with pytest.raises(ValueError, match="assign_pool"):
+        T.assign_pool(x, Tensor(np.zeros(m_shape)))
+
+
+def test_assign_pool_rejects_non_4d_input_and_mixed_dtypes():
+    with pytest.raises(ValueError, match="assign_pool"):
+        T.assign_pool(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros((3, 4, 5, 2))))
+    with pytest.raises(ValueError, match="mixed dtypes"):
+        T.assign_pool(Tensor(np.zeros((2, 3, 4, 5))),
+                      Tensor(np.zeros((2, 4, 5, 2), dtype=np.float32)))
+
+
 def _temporal_conv_loop(x, w, r, stride):
     """Per-frame reference: output, input gradient and weight gradient."""
     c_out, _, k = w.shape
