@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -65,6 +66,18 @@ def _load_checkpoint(path: str):
         return load_checkpoint(path)
     except ValueError as exc:
         raise CliError(3, str(exc)) from exc
+
+
+def positive_int(text: str) -> int:  # argparse: "invalid positive_int value"
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _throughput(count: int, seconds: float, model) -> str:
+    """The rate and the eval block size of a scoring pass, for a summary line."""
+    return f"{count / max(seconds, 1e-9):.1f} samples/s, eval block {model.eval_block}"
 
 
 def int_list(text: str) -> tuple[int, ...]:  # argparse: "invalid int_list value"
@@ -191,12 +204,14 @@ def cmd_eval(args) -> int:
     ds = D.apply_stream(ds, args.stream)
     ds = D.resample_dataset(ds, model.config.frames)
     x, y, ids = D.to_arrays(ds, dtype=model.dtype)
+    start = time.perf_counter()
     scores = TR.predict_scores(model, x, batch_size=args.batch_size)
+    rate = _throughput(len(ids), time.perf_counter() - start, model)
     sf = D.ScoreFile(ids, y, scores)
     D.save_scores(sf, args.out)
     _echo_config({"checkpoint": args.checkpoint, "data": args.data,
                   "stream": args.stream, "out": args.out})
-    print(f"accuracy {sf.accuracy():.4f} over {len(ids)} samples -> {args.out}")
+    print(f"accuracy {sf.accuracy():.4f} over {len(ids)} samples -> {args.out} ({rate})")
     return 0
 
 
@@ -278,12 +293,14 @@ def cmd_dump_attention(args) -> int:
     _echo_config({"checkpoint": args.checkpoint, "data": args.data,
                   "limit": args.limit, "out": args.out})
     collected: dict[int, list] = {}
-    for start in range(0, len(ids), args.batch_size):
-        sl = slice(start, start + args.batch_size)
+    start = time.perf_counter()
+    for first in range(0, len(ids), args.batch_size):
+        sl = slice(first, first + args.batch_size)
         corr: list = []
         model.forward(x[sl], train=False, corr_out=corr)
         for stage_index, values in corr:  # values: (batch, frames, nodes)
             collected.setdefault(stage_index, []).append((ids[sl], values))
+    rate = _throughput(len(ids), time.perf_counter() - start, model)
     for stage_index, chunks in sorted(collected.items()):
         path = os.path.join(args.out, f"attention_stage{stage_index}.csv")
         with open(path, "w") as fh:
@@ -293,6 +310,7 @@ def cmd_dump_attention(args) -> int:
                         row = ",".join(repr(float(v)) for v in values[i, t])
                         fh.write(f"{sample_id},{t},{row}\n")
         print(f"wrote {path}")
+    print(f"dumped {len(collected)} stages of {len(ids)} samples ({rate})")
     return 0
 
 
@@ -335,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint", choices=D.STREAMS)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=positive_int, default=64,
+                   help="samples per predict_scores chunk; the forward runs each "
+                        "chunk in cache-sized blocks")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -368,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-attention", help="export per-stage correlation fields")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--limit", type=int, help="only the first N samples")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--limit", type=positive_int, help="only the first N samples")
+    p.add_argument("--batch-size", type=positive_int, default=64,
+                   help="samples per forward call")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_attention)
 

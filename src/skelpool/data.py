@@ -63,15 +63,15 @@ def _validate(ds: Dataset, topology: SkeletonTopology) -> None:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    doc = {
-        "topology": ds.topology,
-        "classes": ds.classes,
-        "split": ds.split,
-        "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
-                    for s in ds.sequences],
-    }
-    with open(path, "w") as fh:  # one C-encoded string: `json.dump` encodes in Python
-        fh.write(json.dumps(doc))
+    """Write the bytes of `json.dumps` of the whole document, one sample at a time:
+    only one sample's lists and string are alive at once."""
+    head = json.dumps({"topology": ds.topology, "classes": ds.classes, "split": ds.split})
+    with open(path, "w") as fh:  # `json.dumps` encodes in C, `json.dump` in Python
+        fh.write(head[:-1] + ', "samples": [')
+        for i, s in enumerate(ds.sequences):
+            fh.write((", " if i else "") + json.dumps(
+                {"id": s.id, "label": s.label, "frames": s.frames.tolist()}))
+        fh.write("]}")
 
 
 _JSON_TYPES = {str: "string", int: "integer", list: "array", dict: "object"}

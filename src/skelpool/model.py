@@ -28,7 +28,7 @@ from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (SkeletonTopology, load_topology, normalized_adjacency, stage_matrices,
                        unique_keys)
-from .tensor import Parameter, Tensor, named_leaves, scope
+from .tensor import Parameter, Tensor, named_leaves, recording, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
 # and offered as the CLI's `choices`
@@ -36,6 +36,10 @@ FIELD_CHOICES = {"variant": ("light", "heavy"), "sigma": SIGMAS,
                  "fusion_mode": FUSION_MODES, "dtype": ("f32", "f64")}
 _MAGIC = b"SKPL"
 _VERSION = 1
+# The eval forward scores a batch in blocks whose widest activation fills at most
+# this many bytes, so no operator streams a batch-sized activation through memory.
+# Chosen from a sweep of blocks of 2 to 64 samples (see CHANGES.md).
+EVAL_BLOCK_BYTES = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -195,11 +199,33 @@ class Model:
         """Node counts from input graph through every stage output."""
         return [self.stages[0].adj_in.shape[0]] + [s.adj_out.shape[0] for s in self.stages]
 
+    def widest_activation_bytes(self) -> int:
+        """Bytes of the widest per-sample activation: a stage reads and writes at
+        most max(c_in, c_out) channels at its input's frames and nodes."""
+        frames, widest = self.config.frames, 0
+        for (c_in, c_out), stage, nodes in zip(_stage_widths(self.config), self.stages,
+                                                self.node_trajectory()):
+            widest = max(widest, max(c_in, c_out) * frames * nodes)
+            if stage.assignment is not None:  # pooling pairs frames
+                frames = -(-frames // 2)
+        return widest * np.dtype(self.dtype).itemsize
+
+    @property
+    def eval_block(self) -> int:
+        """Samples per block of the eval forward (at least one)."""
+        return max(1, EVAL_BLOCK_BYTES // self.widest_activation_bytes())
+
     def forward(self, x, train: bool = False, corr_out: list | None = None) -> Tensor:
         """Logits for a (batch, 3, frames, nodes) input.
 
         `corr_out`, when a list, collects one (stage_index, correlation array)
-        pair per adaptive pooling on the main path.
+        pair per adaptive pooling on the main path, each over the whole batch.
+
+        In eval mode with nothing recording (no `Tape`, no `shape_record`) the
+        samples are independent, so the batch runs through `logits` in blocks
+        of near-equal size, at most `eval_block` samples each, and the logits
+        and correlation fields are concatenated. A training forward, or one
+        that records, runs the whole batch at once.
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x), dtype=self.dtype)
@@ -210,7 +236,17 @@ class Model:
         if x.ndim != 4 or x.shape[1:] != expect:
             raise ValueError(f"input shape {x.shape} does not match (batch, {expect[0]}, "
                              f"{expect[1]}, {expect[2]})")
-        return self.logits(x, train, corr_out)
+        if train or recording() or x.shape[0] <= self.eval_block:
+            return self.logits(x, train, corr_out)
+        logits, fields = [], []
+        for part in np.array_split(x.data, -(-x.shape[0] // self.eval_block)):
+            corr = None if corr_out is None else []
+            logits.append(self.logits(Tensor(part), False, corr).data)
+            fields.append(corr)
+        if corr_out is not None:
+            corr_out += [(i, np.concatenate([f[k][1] for f in fields]))
+                         for k, (i, _) in enumerate(fields[0])]
+        return Tensor(np.concatenate(logits))
 
     def logits(self, h: Tensor, train: bool, corr_out: list | None = None) -> Tensor:
         """The network on a checked input tensor; each block runs in its `scope`

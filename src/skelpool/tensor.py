@@ -204,6 +204,11 @@ def shape_record():
         _ACTIVE_TAPE, _RECORD = saved
 
 
+def recording() -> bool:
+    """Whether operators run now are recorded, on a tape or in a shape record."""
+    return _ACTIVE_TAPE is not None or _RECORD is not None
+
+
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
     # Element-wise, not through a sum: large finite values cannot overflow it,
     # numpy has nothing to warn about, and it is no slower than `arr.sum()`.

@@ -145,11 +145,15 @@ def write_metrics(path: str, metrics: list[EpochMetrics]) -> None:
 
 
 def _batches(count: int, batch_size: int):
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, not {batch_size}")
     for start in range(0, count, batch_size):
         yield np.arange(start, min(start + batch_size, count))
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 64) -> float:
+    """Eval-mode accuracy; `batch_size` only chunks the input, and `Model.forward`
+    runs each chunk in cache-sized blocks."""
     correct = 0
     for idx in _batches(len(y), batch_size):
         logits = model.forward(x[idx], train=False)
@@ -158,7 +162,8 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 64) -
 
 
 def predict_scores(model: Model, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Per-sample softmax class scores in eval mode."""
+    """Per-sample softmax class scores in eval mode, `batch_size` samples per
+    `Model.forward` call."""
     chunks = []
     for idx in _batches(len(x), batch_size):
         logits = model.forward(x[idx], train=False)

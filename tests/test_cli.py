@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from skelpool import model as M
 from skelpool.cli import build_parser, main
 from skelpool.data import load_dataset, load_scores
-from skelpool.model import ModelConfig
+from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from skelpool.train import TrainConfig
 from skelpool.skeleton import (builtin_partition, builtin_topology, parse_topology,
                                topology_doc)
@@ -556,3 +558,66 @@ def test_malformed_score_file_exits_3_naming_the_line(tmp_path, capsys, name):
     assert main(["fuse", "--scores", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}: line {line}:")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """An untrained uwa15 checkpoint matching the `workdir` datasets."""
+    path = tmp_path_factory.mktemp("small") / "model.ckpt"
+    model = build_model(ModelConfig(topology="uwa15", classes=3, frames=8,
+                                    channels=(4, 8, 8), ism_channels=4), seed=0)
+    model.head.w.assign(np.random.default_rng(1).normal(0.0, 0.5, model.head.w.shape))
+    save_checkpoint(model, str(path))
+    return path
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--batch-size", "0"), ("eval", "--batch-size", "-1"),
+    ("dump-attention", "--batch-size", "0"), ("dump-attention", "--batch-size", "-1"),
+    ("dump-attention", "--limit", "0"), ("dump-attention", "--limit", "-1")])
+def test_non_positive_count_exits_2_naming_the_flag(workdir, small_checkpoint, tmp_path,
+                                                   capsys, command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", str(small_checkpoint),
+              "--data", str(workdir / "test.json"), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}: invalid positive_int value" \
+        in captured.err
+    assert not out.exists()
+
+
+def test_eval_summary_reports_rate_and_eval_block(workdir, small_checkpoint, tmp_path,
+                                                  capsys):
+    block = load_checkpoint(str(small_checkpoint)).eval_block
+    out = tmp_path / "scores.csv"
+    assert main(["eval", "--checkpoint", str(small_checkpoint),
+                 "--data", str(workdir / "test.json"), "--out", str(out),
+                 "--batch-size", "4"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert re.fullmatch(rf"accuracy \d\.\d{{4}} over 6 samples -> {re.escape(str(out))} "
+                        rf"\(\d+\.\d samples/s, eval block {block}\)", last), last
+
+
+def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_path,
+                                              capsys, monkeypatch):
+    widest = load_checkpoint(str(small_checkpoint)).widest_activation_bytes()
+    files = {}
+    for budget in (2 * widest, 1 << 40):  # blocks of 2, then one block per call
+        monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", budget)
+        out = tmp_path / f"attn{budget}"
+        assert main(["dump-attention", "--checkpoint", str(small_checkpoint),
+                     "--data", str(workdir / "test.json"), "--limit", "5",
+                     "--batch-size", "5", "--out", str(out)]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.fullmatch(r"dumped 3 stages of 5 samples \(\d+\.\d samples/s, "
+                            rf"eval block {budget // widest}\)", last), last
+        files[budget] = [[row.split(",") for row in
+                          (out / f"attention_stage{s}.csv").read_text().splitlines()]
+                         for s in (1, 2, 3)]
+    blocked, one_shot = files.values()
+    for a, b in zip(blocked, one_shot):
+        assert [r[:2] for r in a] == [r[:2] for r in b]  # sample id, frame
+        assert np.allclose(np.array([r[2:] for r in a], dtype=float),
+                           np.array([r[2:] for r in b], dtype=float), rtol=1e-5, atol=1e-6)

@@ -11,7 +11,7 @@ from skelpool.data import (Dataset, LabeledSequence, ScoreFile, apply_stream,
                            nearest_centroid_accuracy, resample_dataset,
                            resample_frames, rest_pose, save_dataset, save_scores,
                            synth_generate, to_arrays)
-from skelpool.skeleton import builtin_topology
+from skelpool.skeleton import builtin_topology, topology_doc
 
 
 class TestDatasetIO:
@@ -34,6 +34,18 @@ class TestDatasetIO:
                    "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
                                for s in ds.sequences]}, streamed)
         assert path.read_bytes() == streamed.getvalue().encode()
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_file_bytes_equal_json_dumps_of_the_document(self, tmp_path, count):
+        ds = synth_generate(3, 1, 6, "uwa15", noise=0.02, seed=2)
+        ds = Dataset(topology_doc(builtin_topology("uwa15")), ds.classes, "test",
+                     ds.sequences[:count])
+        path = tmp_path / "d.json"
+        save_dataset(ds, str(path))
+        doc = {"topology": ds.topology, "classes": ds.classes, "split": ds.split,
+               "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
+                           for s in ds.sequences]}
+        assert path.read_bytes() == json.dumps(doc).encode()
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

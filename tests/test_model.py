@@ -10,13 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
+from skelpool import model as M
 from skelpool.cli import main
 from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
 from skelpool.model import (Model, ModelConfig, build_model, config_doc, config_from_doc,
                             load_checkpoint, save_checkpoint)
 from skelpool.skeleton import builtin_partition, builtin_topology, load_topology, topology_doc
-from skelpool.tensor import NonFiniteError, Tape, Tensor, relu
+from skelpool.tensor import NonFiniteError, Tape, Tensor, relu, shape_record
 from skelpool.train import TrainConfig
 
 SLIM = dict(classes=8, frames=16, channels=(8, 16, 32), ism_channels=8)
@@ -210,6 +211,90 @@ class TestForward:
             model.forward(rand_batch(model.config))
         assert (exc.value.op, exc.value.path) == ("conv1x1", "stage2")
         assert str(exc.value).endswith("operator 'conv1x1' in stage2")
+
+
+class TestBlockedEval:
+    """The eval forward runs the batch in blocks of at most `eval_block` samples."""
+
+    BATCH = 11  # blocks of 3, 3, 3 and 2 at a budget of three samples
+
+    @pytest.fixture(params=["light", "heavy"])
+    def model(self, request, monkeypatch):
+        model = build_model(slim_config(variant=request.param), seed=12)
+        rng = np.random.default_rng(13)
+        model.head.w.assign(rng.normal(0.0, 0.5, model.head.w.shape))  # zero-init head
+        monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", 3 * model.widest_activation_bytes())
+        return model
+
+    @staticmethod
+    def block_sizes(model, monkeypatch) -> list:
+        sizes, logits = [], Model.logits
+
+        def spy(self, h, train, corr_out=None):
+            sizes.append(h.shape[0])
+            return logits(self, h, train, corr_out)
+
+        monkeypatch.setattr(Model, "logits", spy)
+        return sizes
+
+    def test_widest_activation_at_paper_width(self):
+        for variant in ("light", "heavy"):
+            model = build_model(ModelConfig(variant=variant))
+            assert model.widest_activation_bytes() == 64 * 64 * 25 * 4  # stage 1
+            assert model.eval_block == M.EVAL_BLOCK_BYTES // 409600
+        f64 = build_model(ModelConfig(dtype="f64"))
+        assert f64.widest_activation_bytes() == 2 * 409600
+
+    def test_blocks_match_one_shot_logits(self, model, monkeypatch):
+        x = rand_batch(model.config, batch=self.BATCH, seed=14)
+        one_shot = model.logits(Tensor(x, dtype=model.dtype), False).data
+        sizes = self.block_sizes(model, monkeypatch)
+        got = model.forward(x).data
+        assert model.eval_block == 3 and sizes == [3, 3, 3, 2]
+        assert got.shape == one_shot.shape and np.ptp(one_shot) > 0.1
+        assert np.allclose(got, one_shot, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(model.forward(x).data, got)
+
+    def test_correlation_fields_cover_the_whole_batch(self, model):
+        x = rand_batch(model.config, batch=self.BATCH, seed=15)
+        want, got = [], []
+        model.logits(Tensor(x, dtype=model.dtype), False, corr_out=want)
+        model.forward(x, corr_out=got)
+        assert [i for i, _ in got] == [i for i, _ in want] == [1, 2, 3]
+        for (_, g), (_, w) in zip(got, want):
+            assert g.shape == w.shape and g.shape[0] == self.BATCH
+            assert np.allclose(g, w, rtol=1e-5, atol=1e-6)
+
+    def test_train_mode_and_recording_run_one_shot(self, model, monkeypatch):
+        x = rand_batch(model.config, batch=self.BATCH, seed=16)
+        h = Tensor(x, dtype=model.dtype)
+        with shape_record() as want:
+            model.logits(h, False)
+        with Tape() as direct:
+            model.logits(h, False)
+        sizes = self.block_sizes(model, monkeypatch)
+        with shape_record() as got:
+            model.forward(x)
+        assert got == want and got[0][3][0] == self.BATCH
+        with Tape() as taped:
+            model.forward(x)
+        assert [e.op for e in taped.entries] == [e.op for e in direct.entries]
+        assert [e.output.shape for e in taped.entries] == \
+            [e.output.shape for e in direct.entries]
+        model.forward(x, train=True)
+        assert sizes == [self.BATCH] * 3
+
+    def test_non_finite_value_in_a_later_block_names_its_operator(self, model, monkeypatch):
+        x = rand_batch(model.config, batch=self.BATCH, seed=17)
+        x[self.BATCH - 1, 0, 2, 3] = np.inf  # in the last block
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as want:
+            model.logits(Tensor(x, dtype=model.dtype), False)
+        sizes = self.block_sizes(model, monkeypatch)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as got:
+            model.forward(x)
+        assert sizes == [3, 3, 3, 2]
+        assert (got.value.op, got.value.path) == (want.value.op, want.value.path)
+        assert got.value.path == "ism"
 
 
 class TestConfigDoc:

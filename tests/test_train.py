@@ -10,7 +10,7 @@ from skelpool.model import ModelConfig, build_model, load_checkpoint, save_check
 from skelpool.tensor import (GradientSet, NonFiniteError, Parameter, Tape, Tensor,
                              gradients)
 from skelpool.train import (EpochMetrics, OptimizerState, TrainConfig, cross_entropy,
-                            evaluate, lr_at, random_rotate, rotation_matrix,
+                            evaluate, lr_at, predict_scores, random_rotate, rotation_matrix,
                             sgd_nesterov_step, train_loop, write_metrics)
 
 RECIPE = TrainConfig()  # recipe defaults: 65 epochs, warmup 5, decay at 35/55
@@ -278,6 +278,17 @@ class TestTrainLoop:
                 pytest.raises(NonFiniteError):
             train_loop(model, train, TrainConfig(epochs=1, warmup=1, decay_steps=(),
                                                  batch_size=4, seed=0))
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_eval_helpers_reject_a_non_positive_batch_size(batch_size):
+    train, cfg = tiny_setup()
+    model = build_model(cfg, seed=0)
+    x, y, _ = to_arrays(train, dtype=model.dtype)
+    for score in (lambda: evaluate(model, x, y, batch_size),
+                  lambda: predict_scores(model, x, batch_size)):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, not {batch_size}"):
+            score()
 
 
 def test_metrics_file_format(tmp_path):
