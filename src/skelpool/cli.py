@@ -23,8 +23,8 @@ from .flops import count_flops, no_pooling_control
 from .gradcheck import run_all
 from .model import (FIELD_CHOICES, ModelConfig, build_model, config_doc, config_from_doc,
                     load_checkpoint, save_checkpoint)
-from .skeleton import (builtin_names, builtin_partition, builtin_topology, topology_doc,
-                       unique_keys)
+from .skeleton import (builtin_names, builtin_partition, builtin_topology, json_field,
+                       topology_doc, unique_keys)
 from .tensor import NonFiniteError
 
 
@@ -45,11 +45,10 @@ def _read_config(path: str | None) -> dict:
             raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise CliError(3, f"{path}: the top level is not a JSON object")
-    for key, section in doc.items():
-        if key not in ("model", "train") or not isinstance(section, dict):
-            raise CliError(2, f"{path}: section {key!r} must be 'model' or 'train' "
-                              "and hold a JSON object")
-    return {"model": doc.get("model", {}), "train": doc.get("train", {})}
+    unknown = set(doc) - {"model", "train"}
+    if unknown:
+        raise CliError(2, f"{path}: unknown sections {sorted(unknown)}, not 'model' or 'train'")
+    return {key: json_field(doc, key, (dict,), f"{path}:", {}) for key in ("model", "train")}
 
 
 def _load_dataset(path: str) -> D.Dataset:
@@ -61,9 +60,10 @@ def _load_dataset(path: str) -> D.Dataset:
         raise CliError(3, f"{path}: {exc}") from exc
 
 
-def _load_checkpoint(path: str):
+def _read_file(read, path: str):
+    """`read(path)`, where a malformed file raises a ValueError naming it: exit 3."""
     try:
-        return load_checkpoint(path)
+        return read(path)
     except ValueError as exc:
         raise CliError(3, str(exc)) from exc
 
@@ -80,8 +80,8 @@ def _throughput(count: int, seconds: float, model) -> str:
     return f"{count / max(seconds, 1e-9):.1f} samples/s, eval block {model.eval_block}"
 
 
-def int_list(text: str) -> tuple[int, ...]:  # argparse: "invalid int_list value"
-    return tuple(int(v) for v in text.split(",") if v != "")
+def int_list(text: str) -> list[int]:  # argparse: "invalid int_list value"
+    return [int(v) for v in text.split(",") if v != ""]
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -199,7 +199,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_checkpoint(args.checkpoint)
+    model = _read_file(load_checkpoint, args.checkpoint)
     ds = _load_dataset(args.data)
     ds = D.apply_stream(ds, args.stream)
     ds = D.resample_dataset(ds, model.config.frames)
@@ -218,7 +218,7 @@ def cmd_eval(args) -> int:
 def cmd_flops(args) -> int:
     flags = _config_flags(args, ModelConfig)
     if args.no_pooling:
-        flags["pooling_locations"] = ()
+        flags["pooling_locations"] = []
     cfg = config_from_doc(ModelConfig, {**_read_config(args.config)["model"], **flags})
     _echo_config({"model": config_doc(cfg)})
     report = count_flops(cfg)
@@ -257,10 +257,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    try:
-        files = [D.load_scores(p) for p in args.scores]
-    except ValueError as exc:
-        raise CliError(3, str(exc)) from exc
+    files = [_read_file(D.load_scores, p) for p in args.scores]
     weights = list(_parse_floats(args.weights)) if args.weights else None
     acc, fused = D.fuse_scores(files, weights)
     D.save_scores(fused, args.out)
@@ -281,7 +278,7 @@ def cmd_export_topology(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = _load_checkpoint(args.checkpoint)
+    model = _read_file(load_checkpoint, args.checkpoint)
     if not (model.config.adaptive and model.config.pooling_locations):
         raise CliError(2, "checkpoint has no adaptive pooling; nothing to dump")
     ds = _load_dataset(args.data)

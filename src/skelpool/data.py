@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import SkeletonTopology, load_topology, unique_keys
+from .skeleton import SkeletonTopology, json_field, load_topology, unique_keys
 from .tensor import Tensor
 
 
@@ -74,28 +74,15 @@ def save_dataset(ds: Dataset, path: str) -> None:
         fh.write("]}")
 
 
-_JSON_TYPES = {str: "string", int: "integer", list: "array", dict: "object"}
-
-
-def _field(doc, key: str, types: tuple, where: str):
-    """`doc[key]`, whose JSON type must be one of `types` (a bool is not an int);
-    a missing or wrongly typed field raises ValueError naming it."""
-    value = doc.get(key) if type(doc) is dict else None
-    if type(value) not in types:
-        want = " or ".join(_JSON_TYPES[t] for t in types)
-        raise ValueError(f"{where} field '{key}' is missing or not a JSON {want}")
-    return value
-
-
 def _sequence(doc, i: int) -> LabeledSequence:
     where = f"sample {i}"
-    frames = _field(doc, "frames", (list,), where)
-    try:
+    frames = json_field(doc, "frames", (list,), where)
+    try:  # numpy raises TypeError for an object among the coordinates
         frames = np.asarray(frames, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValueError(f"{where} field 'frames' is not a numeric array") from None
-    return LabeledSequence(frames=frames, label=_field(doc, "label", (int,), where),
-                           id=str(_field(doc, "id", (str, int), where)))
+        raise ValueError(f"{where} field 'frames' must be a numeric array") from None
+    return LabeledSequence(frames=frames, label=json_field(doc, "label", (int,), where),
+                           id=str(json_field(doc, "id", (str, int), where)))
 
 
 def load_dataset(path: str) -> Dataset:
@@ -103,13 +90,13 @@ def load_dataset(path: str) -> Dataset:
     in one JSON object, raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh, object_pairs_hook=unique_keys)
-    topology = _field(doc, "topology", (str, dict), "dataset")
+    topology = json_field(doc, "topology", (str, dict), "dataset")
     topo, _ = load_topology(topology)
     ds = Dataset(
-        topology=topology, classes=_field(doc, "classes", (list,), "dataset"),
-        split=_field(doc, "split", (str,), "dataset") if "split" in doc else "train",
+        topology=topology, classes=json_field(doc, "classes", (list,), "dataset"),
+        split=json_field(doc, "split", (str,), "dataset", "train"),
         sequences=[_sequence(s, i)
-                   for i, s in enumerate(_field(doc, "samples", (list,), "dataset"))])
+                   for i, s in enumerate(json_field(doc, "samples", (list,), "dataset"))])
     _validate(ds, topo)
     return ds
 

@@ -26,8 +26,8 @@ from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      fuse_branches, global_average, information_supplement)
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
-from .skeleton import (SkeletonTopology, load_topology, normalized_adjacency, stage_matrices,
-                       unique_keys)
+from .skeleton import (SkeletonTopology, json_field, load_topology, normalized_adjacency,
+                       stage_matrices, unique_keys)
 from .tensor import Parameter, Tensor, named_leaves, recording, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
@@ -127,21 +127,12 @@ def config_doc(cfg) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
-def _field_value(name: str, default, value):
-    """`value` checked against the type of the field's default; lists become tuples.
-    Types are compared with `type`, not `isinstance`, so a bool is never a number."""
-    if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
-        want = "a list of integers"
-    elif default is None or isinstance(default, float):
-        ok = type(value) in (int, float) or (default is None and value is None)
-        want = "a number" if default is not None else "a number or null"
-    else:  # bool, int or str; a topology may also be a topology document
-        ok = type(value) is type(default) or (name == "topology" and type(value) is dict)
-        want = {bool: "true or false", int: "an integer", str: "a string"}[type(default)]
-    if not ok:
-        raise ValueError(f"config field {name!r} must be {want}, not {value!r}")
-    return tuple(value) if isinstance(default, tuple) else value
+def _kinds(name: str, default) -> tuple:
+    """The JSON types of a config field: the type of its default, a number or null
+    for a null default, and a topology document besides a built-in name."""
+    if default is None:
+        return (float, type(None))
+    return (str, dict) if name == "topology" else (type(default),)
 
 
 def config_from_doc(cls, doc: dict):
@@ -151,7 +142,8 @@ def config_from_doc(cls, doc: dict):
     unknown = set(doc) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return cls(**{k: _field_value(k, defaults[k], v) for k, v in doc.items()}).validate()
+    return cls(**{k: json_field(doc, k, _kinds(k, d), "config", d)
+                  for k, d in defaults.items()}).validate()
 
 
 @dataclass
@@ -374,15 +366,17 @@ def load_checkpoint(path: str) -> Model:
     blob = take(hlen).tobytes()
     try:
         header = json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
-        config = config_from_doc(ModelConfig, header["config"])
-        seed = header.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
-        sections = [[(m["name"], tuple(m["shape"]), m["dtype"]) for m in header[key]]
+        config = config_from_doc(ModelConfig, json_field(header, "config", (dict,), "header"))
+        seed = json_field(header, "seed", (int,), "header", 0)
+        if seed < 0:
+            raise ValueError(f"header field 'seed' must be a non-negative integer, not {seed}")
+        sections = [[(json_field(m, "name", (str,), f"{key} entry {i}"),
+                      json_field(m, "shape", (tuple,), f"{key} entry {i}"),
+                      json_field(m, "dtype", (str,), f"{key} entry {i}"))
+                     for i, m in enumerate(json_field(header, key, (list,), "header"))]
                     for key in ("params", "state")]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header "
-                         f"({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
     model = build_model(config, seed=seed)
 
     for kind, saved, leaves in (("parameter", sections[0], model.named_parameters()),

@@ -8,6 +8,7 @@ three-stage region partitions (25 -> 10 -> 5 -> 2 and 15 -> 10 -> 5 -> 2).
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,53 +271,73 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def _exact(kind: type):
-    """A reader that returns a value of JSON type `kind` unchanged and raises
-    TypeError for any other (a bool is not an integer, 2.0 is not one either)."""
-    def read(value):
-        if type(value) is not kind:
-            raise TypeError(f"{value!r} is not of type {kind.__name__}")
+_WANT = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+         list: "an array", dict: "an object", type(None): "null", tuple: "an array of integers"}
+_REQUIRED = object()
+
+
+def _integers(value) -> bool:
+    return type(value) is list and all(type(v) is int for v in value)
+
+
+def _mistyped(where: str, key, want: str, value) -> ValueError:
+    return ValueError(f"{where} field '{key}' must be {want}, not {reprlib.repr(value)}")
+
+
+def json_field(doc, key: str, kinds: tuple, where: str, default=_REQUIRED):
+    """`doc[key]` if its JSON type is one of `kinds`, compared with `type`: a bool
+    is not an integer, nor is 2.0; `float` takes any number, and `(tuple,)` an
+    array of integers, returned as a tuple. `default` if the key is absent and a
+    default is given. Otherwise ValueError: `<where> field '<key>' is missing` or
+    `<where> field '<key>' must be <want>, not <value>`."""
+    if type(doc) is not dict:
+        raise ValueError(f"{where} field '{key}' is missing ({where} is not a JSON object)")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} field '{key}' is missing")
+        return default
+    value = doc[key]
+    if kinds == (tuple,):
+        if _integers(value):
+            return tuple(value)
+    elif type(value) in kinds or (type(value) is int and float in kinds):
         return value
-    return read
+    raise _mistyped(where, key, " or ".join(_WANT[k] for k in kinds), value)
 
 
 def _joint_key(key) -> int:
     """A joint id written as a JSON object key (keys are always strings): plain
     decimal digits without a leading zero, so no two spellings name one joint."""
     if not isinstance(key, str) or not re.fullmatch(r"0|[1-9][0-9]*", key):
-        raise ValueError(f"key {key!r} is not a joint id in plain decimal digits")
+        raise ValueError(f"topology 'parents' key {key!r} is not a joint id in plain digits")
     return int(key)
 
 
 def parse_topology(doc: dict) -> tuple[SkeletonTopology, PartitionScheme | None]:
     """The topology of a document and, when it lists `stages`, its partition
-    scheme. A missing or malformed field raises ValueError naming the field;
+    scheme. A missing or wrongly typed field raises ValueError naming the field;
     no value is converted to another type."""
-    integer = _exact(int)
-
-    def field(key, read):
-        if key in ("parents", "stages") and key not in doc:  # the optional fields
-            return None
-        try:
-            return read(doc[key])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"topology field '{key}' is missing or malformed "
-                             f"({exc!r})") from None
-
-    if not isinstance(doc, dict):
-        raise ValueError(f"topology document must be a JSON object, not {doc!r}")
-    topo = SkeletonTopology(
-        name=field("name", _exact(str)),
-        node_count=field("node_count", integer),
-        edges=field("edges", lambda v: tuple((integer(a), integer(b)) for a, b in v)),
-        parents=field("parents", lambda v: {_joint_key(j): integer(p) for j, p in v.items()}),
-    )
-    stages = field("stages", lambda v: tuple(
-        tuple((tuple(integer(m) for m in row["members"]), integer(row["new_id"]))
-              for row in stage)
-        for stage in v))
-    scheme = None if stages is None else PartitionScheme(topo.name, topo.node_count, stages)
-    return topo, scheme
+    name = json_field(doc, "name", (str,), "topology")
+    node_count = json_field(doc, "node_count", (int,), "topology")
+    edges = json_field(doc, "edges", (list,), "topology")
+    if not all(_integers(e) and len(e) == 2 for e in edges):
+        raise _mistyped("topology", "edges", "an array of joint pairs", edges)
+    parents = json_field(doc, "parents", (dict,), "topology", None)
+    if parents is not None:
+        parents = {_joint_key(j): json_field(parents, j, (int,), "topology 'parents'")
+                   for j in parents}
+    topo = SkeletonTopology(name, node_count, tuple(tuple(e) for e in edges), parents)
+    stages = json_field(doc, "stages", (list,), "topology", None)
+    if stages is None:
+        return topo, None
+    if not all(type(stage) is list for stage in stages):
+        raise _mistyped("topology", "stages", "an array of arrays of rows", stages)
+    where = "topology 'stages' row"
+    stages = tuple(
+        tuple((json_field(row, "members", (tuple,), where),
+               json_field(row, "new_id", (int,), where)) for row in stage)
+        for stage in stages)
+    return topo, PartitionScheme(topo.name, topo.node_count, stages)
 
 
 def load_topology(name_or_doc) -> tuple[SkeletonTopology, PartitionScheme | None]:

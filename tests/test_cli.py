@@ -311,6 +311,10 @@ MALFORMED_TOPOLOGIES = [
     ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"02": 1}}, "parents"),
     ({"name": "x", "node_count": 2, "edges": [[1, 2]], "parents": {"2": 1, "02": 1}},
      "parents"),
+    # an empty string or object is not an empty array
+    ({"name": "x", "node_count": 1, "edges": ""}, "edges"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "stages": {}}, "stages"),
+    ({"name": "x", "node_count": 2, "edges": [[1, 2]], "stages": [5]}, "stages"),
 ]
 
 
@@ -413,6 +417,38 @@ def test_checkpoint_header_with_repeated_key_exits_3_naming_it(workdir, topology
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: malformed checkpoint header")
     assert f"repeated JSON key '{key}'" in err
+
+
+@pytest.mark.parametrize("kind, key, code", [("dataset", "label", 3),
+                                             ("topology", "node_count", 3),
+                                             ("config", "ratio", 2),
+                                             ("checkpoint", "seed", 3)])
+def test_a_bool_for_an_integer_is_worded_alike_in_every_document(
+        workdir, topology_checkpoint, tmp_path, capsys, kind, key, code):
+    dataset = json.loads((workdir / "train.json").read_text())
+    if kind == "dataset":
+        dataset["samples"][0]["label"] = True
+    elif kind == "topology":
+        dataset["topology"] = {**topology_doc(builtin_topology("uwa15")), "node_count": True}
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps(dataset))
+    if kind == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"ratio": True}}))
+        argv = ["flops", "--config", str(config)]
+    elif kind == "checkpoint":
+        magic, header, blobs = topology_checkpoint
+        blob = json.dumps({**header, "seed": True}, sort_keys=True).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+                "--out", str(tmp_path / "scores.csv")]
+    else:
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert f"field '{key}' must be an integer, not True" in err
 
 
 def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):

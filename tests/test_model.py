@@ -334,14 +334,20 @@ class TestConfigDoc:
 MALFORMED = {"short_header": "truncated", "trailing_bytes": "trailing bytes",
              "no_state": "state entries do not match", "unknown_dtype": "unknown dtype",
              "state_shape": "shape", "config_type": "config field 'ism'",
-             "seed_type": "seed must be a non-negative integer",
+             "seed_type": "field 'seed' must be an integer",
+             "shape_float": "params entry 0 field 'shape' must be an array of integers",
+             "shape_bool": "field 'shape' must be an array of integers",
+             "entry_array": "params entry 0 field 'name' is missing",
              "nan_param": "non-finite value", "negative_var": "running_var holds a negative"}
 
 
 def malformed_checkpoint(tmp_path, case: str) -> bytes:
     """The bytes of a small heavy-model checkpoint with one defect."""
     path = tmp_path / "good.ckpt"
-    save_checkpoint(build_model(slim_config(variant="heavy"), seed=0), str(path))
+    # a temporal kernel of 1 gives `shape_bool` a dimension of 1 to write as `true`
+    kernel = 1 if case == "shape_bool" else 5
+    save_checkpoint(build_model(slim_config(variant="heavy", temporal_kernel=kernel), seed=0),
+                    str(path))
     raw = path.read_bytes()
     if case == "short_header":
         return raw[:6]
@@ -363,6 +369,15 @@ def malformed_checkpoint(tmp_path, case: str) -> bytes:
         header["config"]["ism"] = "false"  # a string, not a bool
     elif case == "seed_type":
         header["seed"] = "0"  # a string, not an integer
+    elif case == "shape_float":  # (3.0,) == (3,): the shape check alone lets it through
+        assert header["params"][0]["shape"] == [3]
+        header["params"][0]["shape"] = [3.0]
+    elif case == "shape_bool":  # (8, 8, True) == (8, 8, 1)
+        entry = next(m for m in header["params"] if 1 in m["shape"])
+        entry["shape"] = [True if d == 1 else d for d in entry["shape"]]
+    elif case == "entry_array":  # an entry that is an array, not an object
+        meta = header["params"][0]
+        header["params"][0] = [meta["name"], meta["shape"], meta["dtype"]]
     elif case in ("nan_param", "negative_var"):
         # every entry is f4: overwrite the first value of the first parameter,
         # or of the first running variance

@@ -5,9 +5,9 @@ import pytest
 
 from skelpool.skeleton import (PartitionScheme, SkeletonTopology, build_assignment,
                                builtin_partition, builtin_topology, coarsen_adjacency,
-                               coarsen_pattern, normalize_pattern, normalized_adjacency,
-                               parse_topology, raw_adjacency, stage_matrices,
-                               topology_doc)
+                               coarsen_pattern, json_field, normalize_pattern,
+                               normalized_adjacency, parse_topology, raw_adjacency,
+                               stage_matrices, topology_doc)
 
 
 class TestBuiltins:
@@ -181,3 +181,48 @@ def test_partition_validation_references_previous_stage():
     with pytest.raises(ValueError, match="outside"):
         PartitionScheme(name="bad", node_count=3,
                         stages=((((1, 2, 3), 1),), (((2,), 1),)))
+
+
+# (document, kinds, keyword arguments, the value read or the error it raises) for
+# `json_field(document, "k", kinds, "where", **keywords)`
+READER_CASES = [
+    ({"k": True}, (int,), {}, ValueError("where field 'k' must be an integer, not True")),
+    ({"k": 2.0}, (int,), {}, ValueError("where field 'k' must be an integer, not 2.0")),
+    ({"k": "3"}, (int,), {}, ValueError("where field 'k' must be an integer, not '3'")),
+    ({"k": 1}, (list,), {}, ValueError("where field 'k' must be an array, not 1")),
+    ({"k": [1, 2.5]}, (tuple,), {},
+     ValueError("where field 'k' must be an array of integers, not [1, 2.5]")),
+    ({"k": [1, True]}, (tuple,), {},
+     ValueError("where field 'k' must be an array of integers, not [1, True]")),
+    ({"k": True}, (float,), {}, ValueError("where field 'k' must be a number, not True")),
+    ({"k": 1}, (str, dict), {}, ValueError("where field 'k' must be a string or an object, "
+                                           "not 1")),
+    ({"k": None}, (str,), {"default": "x"},
+     ValueError("where field 'k' must be a string, not None")),
+    ({"j": 1}, (int,), {}, ValueError("where field 'k' is missing")),
+    ([1, 2], (int,), {}, ValueError("where field 'k' is missing (where is not a JSON object)")),
+    ({}, (int,), {"default": 7}, 7),
+    ({"k": None}, (float, type(None)), {"default": 0.5}, None),
+    ({"k": 3}, (float,), {}, 3),
+    ({"k": False}, (bool,), {}, False),
+    ({"k": [1, 2]}, (tuple,), {}, (1, 2)),
+    ({"k": []}, (tuple,), {}, ()),
+    ({"k": {"a": 1}}, (str, dict), {}, {"a": 1}),
+]
+
+
+@pytest.mark.parametrize("doc, kinds, keywords, want", READER_CASES)
+def test_json_field(doc, kinds, keywords, want):
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as got:
+            json_field(doc, "k", kinds, "where", **keywords)
+        assert str(got.value) == str(want)
+    else:
+        got = json_field(doc, "k", kinds, "where", **keywords)
+        assert got == want and type(got) is type(want)
+
+
+def test_json_field_shortens_a_long_value():
+    with pytest.raises(ValueError) as got:
+        json_field({"k": list(range(10_000))}, "k", (dict,), "where")
+    assert len(str(got.value)) < 100
