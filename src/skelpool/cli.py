@@ -24,7 +24,7 @@ from .gradcheck import run_all
 from .model import (FIELD_CHOICES, ModelConfig, build_model, config_doc, config_from_doc,
                     load_checkpoint, save_checkpoint)
 from .skeleton import (builtin_names, builtin_partition, builtin_topology, json_field,
-                       topology_doc, unique_keys)
+                       load_topology, parse_json, topology_doc)
 from .tensor import NonFiniteError
 
 
@@ -40,9 +40,9 @@ def _read_config(path: str | None) -> dict:
     if path:
         try:
             with open(path) as fh:
-                doc = json.load(fh, object_pairs_hook=unique_keys)
+                doc = parse_json(fh.read())
         except ValueError as exc:
-            raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
+            raise CliError(3, f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError(3, f"{path}: the top level is not a JSON object")
     unknown = set(doc) - {"model", "train"}
@@ -51,21 +51,25 @@ def _read_config(path: str | None) -> dict:
     return {key: json_field(doc, key, (dict,), f"{path}:", {}) for key in ("model", "train")}
 
 
-def _load_dataset(path: str) -> D.Dataset:
-    try:
-        return D.load_dataset(path)
-    except json.JSONDecodeError as exc:
-        raise CliError(3, f"{path}: invalid JSON ({exc})") from exc
-    except ValueError as exc:
-        raise CliError(3, f"{path}: {exc}") from exc
-
-
 def _read_file(read, path: str):
     """`read(path)`, where a malformed file raises a ValueError naming it: exit 3."""
     try:
         return read(path)
     except ValueError as exc:
         raise CliError(3, str(exc)) from exc
+
+
+def _scoring_input(args, stream: str):
+    """(model, x, labels, ids) of `--checkpoint` and `--data`, `stream` applied and
+    resampled to the model's frames. Another topology or class count exits 2."""
+    model = _read_file(load_checkpoint, args.checkpoint)
+    ds = _read_file(D.load_dataset, args.data)
+    topo, _ = load_topology(ds.topology)
+    if (topo, ds.class_count) != (model.topology, model.config.classes):
+        raise CliError(2, f"{args.data}: topology '{topo.name}' and {ds.class_count} classes, not "
+                          f"the checkpoint's '{model.topology.name}' and {model.config.classes}")
+    ds = D.resample_dataset(D.apply_stream(ds, stream), model.config.frames)
+    return (model, *D.to_arrays(ds, dtype=model.dtype))
 
 
 def positive_int(text: str) -> int:  # argparse: "invalid positive_int value"
@@ -160,8 +164,8 @@ def cmd_train(args) -> int:
     if args.frames is not None and args.half_frames:
         raise CliError(2, "--half-frames halves the native frame count; "
                           "it cannot be combined with --frames")
-    train_ds = _load_dataset(args.data)
-    eval_ds = _load_dataset(args.eval) if args.eval else None
+    train_ds = _read_file(D.load_dataset, args.data)
+    eval_ds = _read_file(D.load_dataset, args.eval) if args.eval else None
 
     frames = args.frames
     if frames is None:
@@ -199,13 +203,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _read_file(load_checkpoint, args.checkpoint)
-    ds = _load_dataset(args.data)
-    ds = D.apply_stream(ds, args.stream)
-    ds = D.resample_dataset(ds, model.config.frames)
-    x, y, ids = D.to_arrays(ds, dtype=model.dtype)
+    model, x, y, ids = _scoring_input(args, args.stream)
     start = time.perf_counter()
-    scores = TR.predict_scores(model, x, batch_size=args.batch_size)
+    scores = TR.predict_scores(model, x)
     rate = _throughput(len(ids), time.perf_counter() - start, model)
     sf = D.ScoreFile(ids, y, scores)
     D.save_scores(sf, args.out)
@@ -278,36 +278,26 @@ def cmd_export_topology(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = _read_file(load_checkpoint, args.checkpoint)
+    # joint coordinates until the checkpoint records its input stream
+    model, x, _, ids = _scoring_input(args, "joint")
     if not (model.config.adaptive and model.config.pooling_locations):
         raise CliError(2, "checkpoint has no adaptive pooling; nothing to dump")
-    ds = _load_dataset(args.data)
-    ds = D.resample_dataset(ds, model.config.frames)
-    x, _, ids = D.to_arrays(ds, dtype=model.dtype)
-    if args.limit:
-        x, ids = x[: args.limit], ids[: args.limit]
+    x, ids = x[: args.limit], ids[: args.limit]
     os.makedirs(args.out, exist_ok=True)
     _echo_config({"checkpoint": args.checkpoint, "data": args.data,
                   "limit": args.limit, "out": args.out})
-    collected: dict[int, list] = {}
+    corr: list = []
     start = time.perf_counter()
-    for first in range(0, len(ids), args.batch_size):
-        sl = slice(first, first + args.batch_size)
-        corr: list = []
-        model.forward(x[sl], train=False, corr_out=corr)
-        for stage_index, values in corr:  # values: (batch, frames, nodes)
-            collected.setdefault(stage_index, []).append((ids[sl], values))
+    model.forward(x, train=False, corr_out=corr)
     rate = _throughput(len(ids), time.perf_counter() - start, model)
-    for stage_index, chunks in sorted(collected.items()):
+    for stage_index, values in corr:  # values: (samples, frames, nodes)
         path = os.path.join(args.out, f"attention_stage{stage_index}.csv")
         with open(path, "w") as fh:
-            for batch_ids, values in chunks:
-                for i, sample_id in enumerate(batch_ids):
-                    for t in range(values.shape[1]):
-                        row = ",".join(repr(float(v)) for v in values[i, t])
-                        fh.write(f"{sample_id},{t},{row}\n")
+            for sample_id, field in zip(ids, values):
+                for t, row in enumerate(field):
+                    fh.write(f"{sample_id},{t},{','.join(repr(float(v)) for v in row)}\n")
         print(f"wrote {path}")
-    print(f"dumped {len(collected)} stages of {len(ids)} samples ({rate})")
+    print(f"dumped {len(corr)} stages of {len(ids)} samples ({rate})")
     return 0
 
 
@@ -350,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stream", default="joint", choices=D.STREAMS)
-    p.add_argument("--batch-size", type=positive_int, default=64,
-                   help="samples per predict_scores chunk; the forward runs each "
-                        "chunk in cache-sized blocks")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -386,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--limit", type=positive_int, help="only the first N samples")
-    p.add_argument("--batch-size", type=positive_int, default=64,
-                   help="samples per forward call")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_attention)
 

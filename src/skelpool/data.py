@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import SkeletonTopology, json_field, load_topology, unique_keys
+from .skeleton import SkeletonTopology, json_field, load_topology, parse_json
 from .tensor import Tensor
 
 
@@ -76,28 +76,34 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 def _sequence(doc, i: int) -> LabeledSequence:
     where = f"sample {i}"
-    frames = json_field(doc, "frames", (list,), where)
+    rows = json_field(doc, "frames", (list,), where)
     try:  # numpy raises TypeError for an object among the coordinates
-        frames = np.asarray(frames, dtype=np.float64)
+        frames = np.asarray(rows, dtype=np.float64)
+        # numpy also reads "1.5" and true as numbers: each coordinate is checked
+        if frames.ndim == 3 and not {type(v) for f in rows for j in f for v in j} <= {int, float}:
+            raise ValueError
     except (TypeError, ValueError):
-        raise ValueError(f"{where} field 'frames' must be a numeric array") from None
+        raise ValueError(f"{where} field 'frames' must be an array of numbers") from None
     return LabeledSequence(frames=frames, label=json_field(doc, "label", (int,), where),
                            id=str(json_field(doc, "id", (str, int), where)))
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; a missing or wrongly typed field, or a key repeated
-    in one JSON object, raises ValueError."""
-    with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=unique_keys)
-    topology = json_field(doc, "topology", (str, dict), "dataset")
-    topo, _ = load_topology(topology)
-    ds = Dataset(
-        topology=topology, classes=json_field(doc, "classes", (list,), "dataset"),
-        split=json_field(doc, "split", (str,), "dataset", "train"),
-        sequences=[_sequence(s, i)
-                   for i, s in enumerate(json_field(doc, "samples", (list,), "dataset"))])
-    _validate(ds, topo)
+    """Read a dataset file; invalid JSON, a missing or wrongly typed field, or a
+    key repeated in one JSON object, raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = parse_json(fh.read())
+        topology = json_field(doc, "topology", (str, dict), "dataset")
+        topo, _ = load_topology(topology)
+        ds = Dataset(
+            topology=topology, classes=json_field(doc, "classes", (list,), "dataset"),
+            split=json_field(doc, "split", (str,), "dataset", "train"),
+            sequences=[_sequence(s, i) for i, s in
+                       enumerate(json_field(doc, "samples", (list,), "dataset"))])
+        _validate(ds, topo)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ds
 
 
@@ -352,8 +358,9 @@ def fuse_scores(files: list[ScoreFile], weights=None) -> tuple[float, ScoreFile]
     weights = [float(w) for w in weights]
     if len(weights) != len(files):
         raise ValueError(f"{len(weights)} weights for {len(files)} score files")
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
-        raise ValueError("weights must be nonnegative with a positive sum")
+    if not all(0 <= w < np.inf for w in weights) or sum(weights) <= 0:
+        raise ValueError(f"weights must be finite and nonnegative with a positive sum, "
+                         f"not {weights}")
     base = files[0]
     k = base.scores.shape[1]
     id_set = set(base.ids)

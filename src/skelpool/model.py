@@ -27,7 +27,7 @@ from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (SkeletonTopology, json_field, load_topology, normalized_adjacency,
-                       stage_matrices, unique_keys)
+                       parse_json, stage_matrices)
 from .tensor import Parameter, Tensor, named_leaves, recording, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
@@ -365,7 +365,7 @@ def load_checkpoint(path: str) -> Model:
     (hlen,) = struct.unpack("<Q", take(8))
     blob = take(hlen).tobytes()
     try:
-        header = json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
+        header = parse_json(blob.decode("utf-8"))
         config = config_from_doc(ModelConfig, json_field(header, "config", (dict,), "header"))
         seed = json_field(header, "seed", (int,), "header", 0)
         if seed < 0:

@@ -7,6 +7,7 @@ three-stage region partitions (25 -> 10 -> 5 -> 2 and 15 -> 10 -> 5 -> 2).
 
 from __future__ import annotations
 
+import json
 import re
 import reprlib
 from dataclasses import dataclass, field
@@ -269,6 +270,15 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"repeated JSON key {key!r}")
         out[key] = value
     return out
+
+
+def parse_json(text: str):
+    """The JSON document `text`, read with `unique_keys`. Invalid JSON, a repeated
+    key or nesting too deep for the parser raises ValueError `invalid JSON (...)`."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
 
 
 _WANT = {str: "a string", int: "an integer", float: "a number", bool: "true or false",

@@ -484,6 +484,10 @@ MALFORMED_DATASETS = [
       "samples": [{k: v for k, v in _SAMPLE.items() if k != "id"}]}, "id"),
     ({"topology": "uwa15", "classes": ["a"], "split": 1, "samples": [_SAMPLE]}, "split"),
     ([1, 2], "topology"),
+    ({"topology": "uwa15", "classes": ["a"],
+      "samples": [{**_SAMPLE, "frames": [[["0.5", 0.0, 0.0]] * 15] * 2}]}, "frames"),
+    ({"topology": "uwa15", "classes": ["a"],
+      "samples": [{**_SAMPLE, "frames": [[[True, 0.5, 0.0]] * 15] * 2}]}, "frames"),
 ]
 
 
@@ -608,8 +612,6 @@ def small_checkpoint(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("eval", "--batch-size", "0"), ("eval", "--batch-size", "-1"),
-    ("dump-attention", "--batch-size", "0"), ("dump-attention", "--batch-size", "-1"),
     ("dump-attention", "--limit", "0"), ("dump-attention", "--limit", "-1")])
 def test_non_positive_count_exits_2_naming_the_flag(workdir, small_checkpoint, tmp_path,
                                                    capsys, command, flag, value):
@@ -629,8 +631,7 @@ def test_eval_summary_reports_rate_and_eval_block(workdir, small_checkpoint, tmp
     block = load_checkpoint(str(small_checkpoint)).eval_block
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(small_checkpoint),
-                 "--data", str(workdir / "test.json"), "--out", str(out),
-                 "--batch-size", "4"]) == 0
+                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert re.fullmatch(rf"accuracy \d\.\d{{4}} over 6 samples -> {re.escape(str(out))} "
                         rf"\(\d+\.\d samples/s, eval block {block}\)", last), last
@@ -639,13 +640,22 @@ def test_eval_summary_reports_rate_and_eval_block(workdir, small_checkpoint, tmp
 def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_path,
                                               capsys, monkeypatch):
     widest = load_checkpoint(str(small_checkpoint)).widest_activation_bytes()
+    forward, calls = M.Model.forward, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape[0])
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(M.Model, "forward", counted)
     files = {}
     for budget in (2 * widest, 1 << 40):  # blocks of 2, then one block per call
         monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", budget)
         out = tmp_path / f"attn{budget}"
+        calls.clear()
         assert main(["dump-attention", "--checkpoint", str(small_checkpoint),
                      "--data", str(workdir / "test.json"), "--limit", "5",
-                     "--batch-size", "5", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
+        assert calls == [5]  # one forward over every sample, which blocks inside
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"dumped 3 stages of 5 samples \(\d+\.\d samples/s, "
                             rf"eval block {budget // widest}\)", last), last
@@ -657,3 +667,77 @@ def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_pat
         assert [r[:2] for r in a] == [r[:2] for r in b]  # sample id, frame
         assert np.allclose(np.array([r[2:] for r in a], dtype=float),
                            np.array([r[2:] for r in b], dtype=float), rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "1,inf", "1e309,1", "nan,nan"])
+def test_fuse_rejects_a_non_finite_weight_before_writing(workdir, small_checkpoint, tmp_path,
+                                                         capsys, weights):
+    scores = tmp_path / "scores.csv"
+    assert main(["eval", "--checkpoint", str(small_checkpoint),
+                 "--data", str(workdir / "test.json"), "--out", str(scores)]) == 0
+    capsys.readouterr()
+    fused = tmp_path / "fused.csv"
+    assert main(["fuse", "--scores", str(scores), str(scores), "--weights", weights,
+                 "--out", str(fused)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: weights must be finite")
+    assert not fused.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
+@pytest.mark.parametrize("case", ["classes", "edges", "joints"])
+def test_dataset_unlike_the_checkpoint_exits_2_before_writing(workdir, small_checkpoint,
+                                                              tmp_path, capsys, command, case):
+    """The checkpoint scores 3 classes on uwa15: the dataset adds a class, keeps the
+    joint count of uwa15 with other bones, or is an ntu25 dataset."""
+    doc = json.loads((workdir / "test.json").read_text())
+    if case == "classes":
+        doc["classes"].append("extra")
+    elif case == "edges":
+        doc["topology"] = {"name": "uwa15", "node_count": 15,
+                           "edges": [[j, j + 1] for j in range(1, 15)]}
+    else:
+        doc["topology"] = "ntu25"
+        for sample in doc["samples"]:
+            sample["frames"] = np.zeros((8, 25, 3)).tolist()
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(small_checkpoint), "--data", str(data),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {data}: topology '") and "checkpoint" in captured.err
+    assert not out.exists()
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("kind", ["dataset", "config", "checkpoint"])
+def test_deeply_nested_json_exits_3(workdir, small_checkpoint, topology_checkpoint, tmp_path,
+                                    capsys, kind):
+    path = tmp_path / "deep"
+    if kind == "checkpoint":
+        blob = DEEP.encode("utf-8")
+        magic, _, blobs = topology_checkpoint
+        path.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
+    else:
+        path.write_text(DEEP)
+    test, run = str(workdir / "test.json"), str(tmp_path / "run")
+    argvs = {
+        "dataset": [["train", "--data", str(path), "--out", run] + FAST_TRAIN,
+                    ["eval", "--checkpoint", str(small_checkpoint), "--data", str(path),
+                     "--out", run]],
+        "config": [["flops", "--config", str(path)],
+                   ["train", "--data", str(workdir / "train.json"), "--config", str(path),
+                    "--out", run] + FAST_TRAIN],
+        "checkpoint": [[command, "--checkpoint", str(path), "--data", test, "--out", run]
+                       for command in ("eval", "dump-attention")],
+    }
+    for argv in argvs[kind]:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}:")
+        assert "invalid JSON (maximum recursion depth exceeded" in captured.err
+    assert not (tmp_path / "run").exists()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestDatasetIO:
                                                  "frames": frames}]}))
         with pytest.raises(ValueError, match="label"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("coordinate", ["0.5", True, False, None],
+                             ids=["string", "true", "false", "null"])
+    def test_a_coordinate_that_is_not_a_number_is_rejected(self, tmp_path, coordinate):
+        frames = np.zeros((2, 15, 3)).tolist()
+        frames[1][4][2] = coordinate  # one among 89 floats
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
+                                    "samples": [{"id": "s", "label": 0, "frames": frames}]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sample 0 field 'frames' must "
+                                                       "be an array of numbers")):
+            load_dataset(str(path))
+
+    def test_integer_coordinates_load_as_floats(self, tmp_path):
+        frames = np.ones((2, 15, 3), dtype=int).tolist()
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
+                                    "samples": [{"id": "s", "label": 0, "frames": frames}]}))
+        loaded = load_dataset(str(path)).sequences[0].frames
+        assert loaded.dtype == np.float64 and (loaded == 1.0).all()
 
 
 class TestSynthGenerate:
@@ -226,6 +247,9 @@ class TestFuseScores:
             fuse_scores([a], [-1.0])
         with pytest.raises(ValueError, match="weights"):
             fuse_scores([a], [0.0])
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                fuse_scores([a], [weight])
 
     def test_argmax_ties_break_toward_lower_index(self):
         sf = make_scores(["a"], [0], [[0.5, 0.5]])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from skelpool import model as M
 from skelpool.data import synth_generate, to_arrays
 from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from skelpool.tensor import (GradientSet, NonFiniteError, Parameter, Tape, Tensor,
@@ -285,10 +286,26 @@ def test_eval_helpers_reject_a_non_positive_batch_size(batch_size):
     train, cfg = tiny_setup()
     model = build_model(cfg, seed=0)
     x, y, _ = to_arrays(train, dtype=model.dtype)
-    for score in (lambda: evaluate(model, x, y, batch_size),
-                  lambda: predict_scores(model, x, batch_size)):
-        with pytest.raises(ValueError, match=f"batch_size must be >= 1, not {batch_size}"):
-            score()
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, not {batch_size}"):
+        predict_scores(model, x, batch_size)
+
+
+def test_evaluate_over_several_blocks_matches_one_shot_logits(monkeypatch):
+    train, cfg = tiny_setup()
+    model = build_model(cfg, seed=0)
+    x, y, _ = to_arrays(train, dtype=model.dtype)
+    one_shot = model.logits(Tensor(x), train=False).data
+    monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", 2 * model.widest_activation_bytes())
+    logits, blocks = M.Model.logits, []
+
+    def counted(self, h, *args, **kwargs):
+        blocks.append(h.shape[0])
+        return logits(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(M.Model, "logits", counted)
+    accuracy = evaluate(model, x, y)
+    assert len(blocks) > 2 and max(blocks) == 2 and sum(blocks) == len(y)
+    assert accuracy == int((np.argmax(one_shot, axis=1) == y).sum()) / len(y)
 
 
 def test_metrics_file_format(tmp_path):
