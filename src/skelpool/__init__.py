@@ -1,7 +1,6 @@
 """Region-aware graph pooling networks for skeleton action recognition."""
 
-from .blocks import (bone_features, classifier_head, cross_fusion_block,
-                     information_supplement, motion_features)
+from .blocks import classifier_head, cross_fusion_block, information_supplement
 from .data import (Dataset, LabeledSequence, ScoreFile, fuse_scores, load_dataset,
                    resample_frames, save_dataset, synth_generate)
 from .flops import FlopsReport, count_flops, no_pooling_control
@@ -21,12 +20,12 @@ __all__ = [
     "Dataset", "FlopsReport", "GradientSet", "LabeledSequence", "Model",
     "ModelConfig", "NonFiniteError", "Parameter", "PartitionScheme",
     "PoolingParams", "ScoreFile", "SkeletonTopology", "Tape", "Tensor",
-    "TrainConfig", "bone_features", "build_assignment", "build_model",
+    "TrainConfig", "build_assignment", "build_model",
     "builtin_partition", "builtin_topology", "check_gradients",
     "classifier_head", "coarsen_adjacency", "concat_channels", "correlation",
     "count_flops", "cross_entropy", "cross_fusion_block", "evaluate",
     "fuse_scores", "gradients", "information_supplement", "load_checkpoint",
-    "load_dataset", "load_topology", "lr_at", "motion_features",
+    "load_dataset", "load_topology", "lr_at",
     "no_pooling_control", "normalized_adjacency", "random_rotate",
     "resample_frames", "run_all", "save_checkpoint", "save_dataset",
     "sgd_nesterov_step", "spatial_pool", "st_pool", "synth_generate",

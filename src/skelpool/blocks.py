@@ -1,5 +1,5 @@
-"""Composite model blocks: cross fusion, input supplement, feature derivations,
-and the classification head.
+"""Composite model blocks: cross fusion, input supplement and the
+classification head.
 
 The cross fusion block runs a coarse branch (pool, then graph-convolve on the
 pooled graph) and a fine branch (graph-convolve at full resolution, then pool
@@ -16,7 +16,6 @@ import numpy as np
 from . import tensor as T
 from .gcn import BatchNorm, GraphConvParams, batch_normalize, gcn_block, spatial_graph_conv
 from .pooling import PoolingParams, st_pool
-from .skeleton import SkeletonTopology
 from .tensor import Parameter, Tensor
 
 FUSION_MODES = ("sum", "concat")
@@ -104,43 +103,6 @@ def cross_fusion_block(x: Tensor, params: CrossFusionParams, assignment: Tensor 
 
 
 # ---------------------------------------------------------------------------
-# input feature derivations
-
-
-def bone_matrix(topology: SkeletonTopology, dtype=np.float64) -> np.ndarray:
-    """Linear map taking joint positions to bone vectors (joint minus parent;
-    the root maps to zero)."""
-    if topology.parents is None:
-        raise ValueError(f"topology '{topology.name}' has no parent map")
-    n = topology.node_count
-    mat = np.zeros((n, n), dtype=dtype)
-    for child, parent in topology.parents.items():
-        mat[child - 1, child - 1] = 1.0
-        mat[parent - 1, child - 1] = -1.0
-    return mat
-
-
-def bone_features(x: Tensor, topology: SkeletonTopology) -> Tensor:
-    """Vector-based features: per joint, position minus parent position."""
-    if x.ndim != 4:
-        raise ValueError("bone_features expects a 4-D feature map")
-    return T.matmul(x, Tensor(bone_matrix(topology).astype(x.dtype)))
-
-
-def motion_features(x: Tensor) -> Tensor:
-    """Forward frame differences; the final frame slot is zero."""
-    if x.ndim != 4:
-        raise ValueError("motion_features expects a 4-D feature map")
-    t = x.shape[2]
-    diff = np.zeros((t, t))
-    for i in range(t - 1):
-        diff[i + 1, i] = 1.0
-        diff[i, i] = -1.0
-    shifted = T.matmul(T.transpose(x, (0, 1, 3, 2)), Tensor(diff.astype(x.dtype)))
-    return T.transpose(shifted, (0, 1, 3, 2))
-
-
-# ---------------------------------------------------------------------------
 # input supplement: embed positions and bone vectors, concatenate
 
 
@@ -176,10 +138,11 @@ class IsmParams:
         return 2 * self.vec_conv2.shape[1]
 
 
-def information_supplement(x: Tensor, params: IsmParams, topology: SkeletonTopology,
+def information_supplement(x: Tensor, params: IsmParams, bones: Tensor,
                            adjacency: Tensor, train: bool) -> Tensor:
     """Embed bone-vector and position streams and concatenate on channels
-    (bone stream leading), doubling the per-stream embedding width."""
+    (bone stream leading), doubling the per-stream embedding width. `bones` is
+    the topology's `skeleton.bone_matrix`, which maps positions to bone vectors."""
     if x.ndim != 4 or x.shape[1] != 3:
         raise ValueError("information_supplement expects raw (batch, 3, frames, nodes) input")
 
@@ -189,7 +152,7 @@ def information_supplement(x: Tensor, params: IsmParams, topology: SkeletonTopol
         feat = T.relu(feat)
         return spatial_graph_conv(feat, w2, adjacency)
 
-    vec = stream(bone_features(x, topology), params.vec_norm,
+    vec = stream(T.matmul(x, bones), params.vec_norm,
                  params.vec_conv1, params.vec_conv2)
     pos = stream(x, params.pos_norm, params.pos_conv1, params.pos_conv2)
     return T.concat_channels(vec, pos)

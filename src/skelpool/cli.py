@@ -295,7 +295,7 @@ def cmd_dump_attention(args) -> int:
         with open(path, "w") as fh:
             for sample_id, field in zip(ids, values):
                 for t, row in enumerate(field):
-                    fh.write(f"{sample_id},{t},{','.join(repr(float(v)) for v in row)}\n")
+                    fh.write(f"{sample_id},{t},{','.join(map(repr, row.tolist()))}\n")
         print(f"wrote {path}")
     print(f"dumped {len(corr)} stages of {len(ids)} samples ({rate})")
     return 0

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import SkeletonTopology, json_field, load_topology, parse_json
-from .tensor import Tensor
+from .skeleton import SkeletonTopology, bone_matrix, json_field, load_topology, parse_json
 
 
 @dataclass
@@ -257,20 +256,25 @@ def resample_dataset(ds: Dataset, t_target: int) -> Dataset:
 STREAMS = ("joint", "bone", "motion")
 
 
+def _motion(frames: np.ndarray) -> np.ndarray:
+    """Forward frame differences; the final frame is zero."""
+    out = np.zeros_like(frames)
+    out[:-1] = frames[1:] - frames[:-1]
+    return out
+
+
 def apply_stream(ds: Dataset, stream: str) -> Dataset:
-    """Ingestion-side input transform for multi-stream training."""
-    from .blocks import bone_features, motion_features
+    """Ingestion-side input transform for multi-stream training: each sequence's
+    bone vectors (joint minus parent, the root zero) or its frame motion."""
     if stream not in STREAMS:
         raise ValueError(f"stream must be one of {STREAMS}")
     if stream == "joint":
         return ds
-    topo, _ = load_topology(ds.topology)
-    out = []
-    for seq in ds.sequences:
-        x = Tensor(seq.frames.transpose(2, 0, 1)[None], dtype=np.float64)
-        y = bone_features(x, topo) if stream == "bone" else motion_features(x)
-        out.append(LabeledSequence(y.data[0].transpose(1, 2, 0), seq.label, seq.id))
-    return Dataset(ds.topology, list(ds.classes), ds.split, out)
+    bones = bone_matrix(load_topology(ds.topology)[0]) if stream == "bone" else None
+    # bones.T @ (frames, joints, 3): each frame's joints through the bone map
+    return Dataset(ds.topology, list(ds.classes), ds.split, [
+        LabeledSequence(_motion(s.frames) if bones is None else bones.T @ s.frames,
+                        s.label, s.id) for s in ds.sequences])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,7 @@ def save_scores(sf: ScoreFile, path: str) -> None:
     with the row count, so a file cut short anywhere does not load."""
     with open(path, "w") as fh:
         for i, sample_id in enumerate(sf.ids):
-            row = ",".join(repr(float(v)) for v in sf.scores[i])
+            row = ",".join(map(repr, sf.scores[i].tolist()))
             fh.write(f"{sample_id},{int(sf.labels[i])},{row}\n")
         fh.write(f"{END_MARKER},{len(sf.ids)}\n")
 
@@ -350,7 +354,8 @@ def load_scores(path: str) -> ScoreFile:
 
 
 def fuse_scores(files: list[ScoreFile], weights=None) -> tuple[float, ScoreFile]:
-    """Weighted per-sample sum of score vectors; returns (accuracy, fused file)."""
+    """Weighted per-sample sum of score vectors; returns (accuracy, fused file).
+    A sum that is not finite raises ValueError, so no fused file is unreadable."""
     if not files:
         raise ValueError("no score files to fuse")
     if weights is None:
@@ -374,6 +379,10 @@ def fuse_scores(files: list[ScoreFile], weights=None) -> tuple[float, ScoreFile]
         perm = [index[sid] for sid in base.ids]
         if not np.array_equal(sf.labels[perm], base.labels):
             raise ValueError("score files disagree on sample labels")
-        fused += w * sf.scores[perm]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            fused += w * sf.scores[perm]
+    if not np.isfinite(fused).all():
+        raise ValueError(f"the weighted sum of the scores overflows with weights {weights}; "
+                         "use smaller weights")
     out = ScoreFile(list(base.ids), base.labels.copy(), fused)
     return out.accuracy(), out

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import blocks, gcn, pooling
 from . import tensor as T
-from .skeleton import (SkeletonTopology, build_assignment, coarsen_adjacency,
+from .skeleton import (SkeletonTopology, bone_matrix, build_assignment, coarsen_adjacency,
                        normalized_adjacency, raw_adjacency)
 from .tensor import Tape, Tensor, gradients
 
@@ -176,6 +176,7 @@ def operator_cases() -> list[CheckCase]:
         _op_case("mean", lambda x: T.tmean(x, axes=(1,)), (2, 3, 4)),
         _op_case("matmul", T.matmul, (4, 3), (3, 2)),
         _op_case("matmul_batched", T.matmul, (2, 3, 4, 3), (3, 2)),
+        _op_case("matmul_per_batch", T.matmul, (2, 3, 4, 3), (2, 3, 3, 2)),
         _op_case("assign_pool", T.assign_pool, (2, 3, 4, 5), (2, 4, 5, 3)),
         _op_case("conv1x1", T.conv1x1, (2, 6, 3, 4), (6, 2)),
         *(_op_case(f"temporal_conv_s{stride}", partial(T.temporal_conv, stride=stride),
@@ -239,8 +240,8 @@ def composite_cases() -> list[CheckCase]:
                    (1, 4, 4, 4), partial(blocks.cross_fusion_block, train=True),
                    regions, coarse, adj),
         block_case("information_supplement", partial(blocks.IsmParams.init, channels=3),
-                   (1, 3, 3, 4), lambda x, params, a:
-                   blocks.information_supplement(x, params, chain, a, train=True), adj),
+                   (1, 3, 3, 4), partial(blocks.information_supplement, train=True),
+                   bone_matrix(chain), adj),
         block_case("classifier_head", head, (2, 3, 4, 5), blocks.classifier_head),
         block_case("gcn_block", partial(gcn.GraphConvParams.init, c_in=3, c_out=3, kernel=3),
                    (1, 3, 4, 4), partial(gcn.gcn_block, train=True), adj),

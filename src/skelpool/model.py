@@ -26,8 +26,8 @@ from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      fuse_branches, global_average, information_supplement)
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
-from .skeleton import (SkeletonTopology, json_field, load_topology, normalized_adjacency,
-                       parse_json, stage_matrices)
+from .skeleton import (SkeletonTopology, bone_matrix, json_field, load_topology,
+                       normalized_adjacency, parse_json, stage_matrices)
 from .tensor import Parameter, Tensor, named_leaves, recording, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
@@ -92,6 +92,9 @@ class ModelConfig:
         if locs and len(scheme.stages) < len(locs):
             raise ValueError(f"scheme defines {len(scheme.stages)} pooling stages, "
                              f"{len(locs)} requested")
+        if self.ism and topo.parents is None:
+            raise ValueError(f"topology '{topo.name}' has no parent map, which the input "
+                             "supplement's bone stream needs; pass --no-ism")
         # the correlation projections of an adaptive pooled stage divide its input
         # width (light), or its input and output widths (heavy), by the ratio
         widths = _stage_widths(self)[: len(locs) if self.adaptive else 0]
@@ -157,14 +160,18 @@ class Stage:
 
 
 class Model:
-    """A built network: constant graph matrices plus the parameter tree."""
+    """A built network: constant graph matrices plus the parameter tree.
+
+    `bones` is the topology's bone matrix, which the input supplement reads
+    (None without it)."""
 
     def __init__(self, config: ModelConfig, topology: SkeletonTopology,
-                 ism: IsmParams | None, stages: list[Stage], head: ClassifierHead,
-                 seed: int):
+                 ism: IsmParams | None, bones: Tensor | None, stages: list[Stage],
+                 head: ClassifierHead, seed: int):
         self.config = config
         self.topology = topology
         self.ism = ism
+        self.bones = bones
         self.stages = stages
         self.head = head
         self.seed = seed
@@ -245,7 +252,7 @@ class Model:
         (`ism`, `stage1`..`stage3`, `head`), which names its operators."""
         if self.ism is not None:
             with scope("ism"):
-                h = information_supplement(h, self.ism, self.topology,
+                h = information_supplement(h, self.ism, self.bones,
                                            self.stages[0].adj_in, train)
         for i, stage in enumerate(self.stages, 1):
             stage_corr: list = []
@@ -281,6 +288,7 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     mats = stage_matrices(topo, scheme)[:pooled] if pooled else []
 
     ism = IsmParams.init(config.ism_channels, rng=rng, dtype=dtype) if config.ism else None
+    bones = Tensor(bone_matrix(topo), dtype=dtype) if config.ism else None
     adj = Tensor(normalized_adjacency(topo), dtype=dtype)
     stages = []
     for c_in, c_out in _stage_widths(config):
@@ -304,7 +312,7 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
             stages.append(Stage(assignment, adj_in, adj, pool=pool, gcn=gcn))
 
     head = ClassifierHead.init(config.channels[-1], config.classes, rng=rng, dtype=dtype)
-    return Model(config, topo, ism, stages, head, seed)
+    return Model(config, topo, ism, bones, stages, head, seed)
 
 
 # ---------------------------------------------------------------------------

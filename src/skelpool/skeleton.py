@@ -124,6 +124,19 @@ def raw_adjacency(topology: SkeletonTopology) -> np.ndarray:
     return a
 
 
+def bone_matrix(topology: SkeletonTopology) -> np.ndarray:
+    """Linear map taking joint positions to bone vectors (joint minus parent;
+    the root maps to zero): positions (..., joints) @ bone_matrix."""
+    if topology.parents is None:
+        raise ValueError(f"topology '{topology.name}' has no parent map")
+    n = topology.node_count
+    mat = np.zeros((n, n), dtype=np.float64)
+    for child, parent in topology.parents.items():
+        mat[child - 1, child - 1] = 1.0
+        mat[parent - 1, child - 1] = -1.0
+    return mat
+
+
 def normalize_pattern(pattern: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of a connectivity pattern with self-loops.
 

@@ -236,16 +236,6 @@ def _same_dtype(*tensors: Tensor):
     return dt
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy broadcasting in the forward."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] > 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # pointwise arithmetic
 
@@ -453,17 +443,18 @@ def _shared_rhs_matmul_grads(g, ins, out):
 
 def _batched_matmul_grads(g, ins, out):
     ad, bd = ins
-    return (_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape),
-            _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
+    return np.matmul(g, bd.swapaxes(-1, -2)), np.matmul(ad.swapaxes(-1, -2), g)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batch axes broadcast numpy-style.
+    """Matrix product over the last two axes.
 
     A shared 2-D right operand (an adjacency, assignment or classifier matrix)
     is applied as one GEMM over the rows of `a` flattened to (rows, inner), in
     the forward and in both gradients, rather than one small GEMM per batch
-    entry. A non-contiguous `a` is copied by that flattening.
+    entry. A non-contiguous `a` is copied by that flattening. A right operand
+    with batch axes pairs one matrix with each batch entry of `a`: the batch
+    axes must be equal, there is no broadcasting.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires rank >= 2 operands")
@@ -472,6 +463,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype(a, b)
     if b.ndim == 2:
         return _apply("matmul", (a, b), _shared_rhs_matmul, _shared_rhs_matmul_grads)
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul: batch axes differ {a.shape} @ {b.shape}")
     return _apply("matmul", (a, b), np.matmul, _batched_matmul_grads)
 
 

@@ -1,16 +1,17 @@
-"""Cross fusion, bone/motion derivations, input supplement, classifier head."""
+"""Cross fusion, bone and motion streams, input supplement, classifier head."""
 
 import numpy as np
 import pytest
 
 from skelpool.blocks import (ClassifierHead, CrossFusionParams, IsmParams,
-                             bone_features, classifier_head, cross_fusion_block,
-                             cross_fusion_split, fuse_branches,
-                             information_supplement, motion_features)
-from skelpool.skeleton import (SkeletonTopology, build_assignment, builtin_partition,
-                               builtin_topology, coarsen_pattern, normalize_pattern,
-                               normalized_adjacency, raw_adjacency)
-from skelpool.tensor import Tensor
+                             classifier_head, cross_fusion_block, cross_fusion_split,
+                             fuse_branches, information_supplement)
+from skelpool.data import Dataset, LabeledSequence, apply_stream
+from skelpool.skeleton import (SkeletonTopology, bone_matrix, build_assignment,
+                               builtin_partition, builtin_topology, coarsen_pattern,
+                               normalize_pattern, normalized_adjacency, raw_adjacency,
+                               topology_doc)
+from skelpool.tensor import Tensor, shape_record
 
 
 def chain(n=4):
@@ -86,89 +87,103 @@ class TestCrossFusion:
             CrossFusionParams.init(4, 4, weight=1.5)
 
 
+def derive(frames, stream, topology=None):
+    """`apply_stream` on one (frames, joints, 3) sequence; the topology (a
+    built-in name or a `SkeletonTopology`) defaults to a chain of the joints."""
+    topo = topology or chain(frames.shape[1])
+    doc = topo if isinstance(topo, str) else topology_doc(topo)
+    ds = Dataset(doc, ["a"], "train", [LabeledSequence(frames, 0, "s")])
+    return apply_stream(ds, stream).sequences[0].frames
+
+
 class TestBoneFeatures:
     def test_root_joint_maps_to_zero(self):
         topo = chain(3)
-        x = Tensor(np.random.default_rng(8).standard_normal((2, 3, 4, 3)))
-        bones = bone_features(x, topo).data
-        assert np.array_equal(bones[:, :, :, 0], np.zeros((2, 3, 4)))
+        x = np.random.default_rng(8).standard_normal((2, 3, 4, 3))
+        assert np.array_equal((x @ bone_matrix(topo))[:, :, :, 0], np.zeros((2, 3, 4)))
+        bones = derive(x[0].transpose(1, 2, 0), "bone", topo)
+        assert np.array_equal(bones[:, 0], np.zeros((4, 3)))
 
     def test_two_joint_chain_vector(self):
-        topo = chain(2)
-        frames = np.zeros((1, 3, 1, 2))
-        frames[0, :, 0, 1] = [1.0, 1.0, 1.0]  # child at (1,1,1), root at origin
-        bones = bone_features(Tensor(frames), topo).data
-        assert np.array_equal(bones[0, :, 0, 1], [1.0, 1.0, 1.0])
-        assert np.array_equal(bones[0, :, 0, 0], [0.0, 0.0, 0.0])
+        frames = np.zeros((1, 2, 3))
+        frames[0, 1] = [1.0, 1.0, 1.0]  # child at (1,1,1), root at origin
+        bones = derive(frames, "bone")
+        assert np.array_equal(bones[0, 1], [1.0, 1.0, 1.0])
+        assert np.array_equal(bones[0, 0], [0.0, 0.0, 0.0])
 
     def test_translation_invariance_exact(self):
-        topo = builtin_topology("ntu25")
         rng = np.random.default_rng(9)
-        x = rng.integers(-4, 5, size=(1, 3, 5, 25)).astype(np.float64)
+        x = rng.integers(-4, 5, size=(5, 25, 3)).astype(np.float64)
         shifted = x + 2.0  # integer-valued data keeps the difference exact
-        a = bone_features(Tensor(x), topo).data
-        b = bone_features(Tensor(shifted), topo).data
-        assert np.array_equal(a, b)
+        assert np.array_equal(derive(x, "bone", "ntu25"), derive(shifted, "bone", "ntu25"))
 
     def test_missing_parent_map_rejected(self):
         topo = SkeletonTopology("bare", 2, ((1, 2),))
         with pytest.raises(ValueError, match="parent"):
-            bone_features(Tensor(np.zeros((1, 3, 2, 2))), topo)
+            bone_matrix(topo)
+        with pytest.raises(ValueError, match="parent"):
+            derive(np.zeros((2, 2, 3)), "bone", topo)
 
 
 class TestMotionFeatures:
     def test_static_sequence_is_all_zero(self):
-        x = Tensor(np.tile(np.random.default_rng(10).standard_normal((1, 3, 1, 4)),
-                           (1, 1, 6, 1)))
-        assert np.allclose(motion_features(x).data, 0.0)
+        x = np.tile(np.random.default_rng(10).standard_normal((1, 4, 3)), (6, 1, 1))
+        assert np.array_equal(derive(x, "motion"), np.zeros((6, 4, 3)))
 
     def test_linear_motion_gives_constant_step(self):
         t = np.arange(5.0)
-        x = np.zeros((1, 3, 5, 2))
-        x[0, 0, :, :] = (0.5 * t)[:, None]
-        out = motion_features(Tensor(x)).data
-        assert np.allclose(out[0, 0, :4, :], 0.5)
-        assert np.allclose(out[0, 0, 4, :], 0.0)
+        x = np.zeros((5, 2, 3))
+        x[:, :, 0] = (0.5 * t)[:, None]
+        out = derive(x, "motion")
+        assert np.array_equal(out[:4, :, 0], np.full((4, 2), 0.5))
+        assert np.array_equal(out[4], np.zeros((2, 3)))
 
     def test_double_application_matches_numpy_second_difference(self):
         t = np.arange(6.0)
-        x = np.zeros((1, 3, 6, 1))
-        x[0, 1, :, 0] = t * t
-        got = motion_features(motion_features(Tensor(x))).data[0, 1, :, 0]
+        x = np.zeros((6, 1, 3))
+        x[:, 0, 1] = t * t
+        got = derive(derive(x, "motion"), "motion")[:, 0, 1]
         first = np.zeros(6)
         first[:-1] = np.diff(t * t)
         want = np.zeros(6)
         want[:-1] = np.diff(first)
-        assert np.allclose(got, want)
+        assert np.array_equal(got, want)
+
+
+def supplement_setup(topo, channels, seed=0):
+    """(params, bone matrix, adjacency) of an f64 input supplement on `topo`."""
+    params = IsmParams.init(channels=channels, rng=np.random.default_rng(seed),
+                            dtype=np.float64)
+    return params, Tensor(bone_matrix(topo)), Tensor(normalized_adjacency(topo))
 
 
 class TestInformationSupplement:
     def test_output_doubles_embed_channels(self):
-        topo = builtin_topology("ntu25")
-        adj = Tensor(normalized_adjacency(topo))
-        params = IsmParams.init(channels=32, rng=np.random.default_rng(11),
-                                dtype=np.float64)
+        params, bones, adj = supplement_setup(builtin_topology("ntu25"), 32, seed=11)
         x = Tensor(np.random.default_rng(12).standard_normal((2, 3, 4, 25)))
-        out = information_supplement(x, params, topo, adj, train=True)
+        out = information_supplement(x, params, bones, adj, train=True)
         assert out.shape == (2, 64, 4, 25)
         assert params.out_channels == 64
 
     def test_zero_input_is_finite_and_deterministic(self):
-        topo = chain(4)
-        adj = Tensor(normalized_adjacency(topo))
-        params = IsmParams.init(channels=8, rng=np.random.default_rng(13),
-                                dtype=np.float64)
+        params, bones, adj = supplement_setup(chain(4), 8, seed=13)
         x = Tensor(np.zeros((1, 3, 4, 4)))
-        a = information_supplement(x, params, topo, adj, train=True).data
-        b = information_supplement(x, params, topo, adj, train=True).data
+        a = information_supplement(x, params, bones, adj, train=True).data
+        b = information_supplement(x, params, bones, adj, train=True).data
         assert np.isfinite(a).all() and np.array_equal(a, b)
 
     def test_requires_raw_coordinates(self):
-        topo = chain(4)
-        params = IsmParams.init(channels=4, dtype=np.float64)
+        params, bones, adj = supplement_setup(chain(4), 4)
         with pytest.raises(ValueError, match="raw"):
-            information_supplement(Tensor(np.zeros((1, 5, 4, 4))), params, topo,
-                                   Tensor(normalized_adjacency(topo)), train=True)
+            information_supplement(Tensor(np.zeros((1, 5, 4, 4))), params, bones, adj,
+                                   train=True)
+
+    def test_bone_stream_is_one_matmul_on_the_bone_matrix(self):
+        params, bones, adj = supplement_setup(chain(4), 4, seed=14)
+        x = Tensor(np.random.default_rng(15).standard_normal((1, 3, 2, 4)))
+        with shape_record() as record:
+            information_supplement(x, params, bones, adj, train=True)
+        assert record[0][1:] == ("matmul", ((1, 3, 2, 4), (4, 4)), (1, 3, 2, 4))
 
 
 class TestClassifierHead:

@@ -284,6 +284,34 @@ def test_flops_rejects_ism_off_at_ratio_4_before_the_config_line(capsys):
     assert out == "" and all(word in err for word in ("ratio", "ism", "divisible"))
 
 
+# three joints and three pooling stages, but no parent map for bone vectors
+TRI = {"name": "tri", "node_count": 3, "edges": [[1, 2], [2, 3]],
+       "stages": [[{"members": [1, 2], "new_id": 1}, {"members": [3], "new_id": 2}],
+                  [{"members": [1, 2], "new_id": 1}], [{"members": [1], "new_id": 1}]]}
+
+
+@pytest.mark.parametrize("command", ["flops", "train"])
+def test_ism_without_parent_map_exits_2_before_the_config_line(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    if command == "flops":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"topology": TRI}}))
+        argv = ["flops", "--config", str(config)]
+    else:
+        rng = np.random.default_rng(0)
+        data = tmp_path / "tri.json"
+        data.write_text(json.dumps({"topology": TRI, "classes": ["a", "b"], "samples": [
+            {"id": f"s{i}", "label": i % 2, "frames": rng.standard_normal((8, 3, 3)).tolist()}
+            for i in range(4)]}))
+        argv = ["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: topology 'tri' has no parent map")
+    assert "--no-ism" in captured.err
+    assert not out.exists()
+
+
 # (malformed topology document, the field the message must name)
 MALFORMED_TOPOLOGIES = [
     ({"name": "x", "node_count": 3, "edges": 5}, "edges"),
@@ -681,6 +709,19 @@ def test_fuse_rejects_a_non_finite_weight_before_writing(workdir, small_checkpoi
                  "--out", str(fused)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: weights must be finite")
+    assert not fused.exists()
+
+
+@pytest.mark.parametrize("scores, weights", [("1.0,0.0", "1e308,1e308"),
+                                             ("10.0,0.0", "1e308,1")])
+def test_fuse_rejects_an_overflowing_sum_before_writing(tmp_path, capsys, scores, weights):
+    one = tmp_path / "one.csv"
+    one.write_text(f"a,0,{scores}\n#end,1\n")
+    fused = tmp_path / "fused.csv"
+    assert main(["fuse", "--scores", str(one), str(one), "--weights", weights,
+                 "--out", str(fused)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the weighted sum")
     assert not fused.exists()
 
 

@@ -170,14 +170,14 @@ class TestStreams:
             parent = topo.parents.get(j)
             want = np.zeros((6, 3)) if parent is None \
                 else seq.frames[:, j - 1] - seq.frames[:, parent - 1]
-            assert np.allclose(out.frames[:, j - 1], want, atol=1e-12)
+            assert np.array_equal(out.frames[:, j - 1], want)
 
     def test_motion_stream_matches_frame_differences(self):
         ds = synth_generate(2, 1, 5, "uwa15", noise=0.0, seed=8)
         motion = apply_stream(ds, "motion")
         seq, out = ds.sequences[0], motion.sequences[0]
-        assert np.allclose(out.frames[:-1], np.diff(seq.frames, axis=0), atol=1e-12)
-        assert np.allclose(out.frames[-1], 0.0)
+        assert np.array_equal(out.frames[:-1], np.diff(seq.frames, axis=0))
+        assert np.array_equal(out.frames[-1], np.zeros((15, 3)))
 
     def test_joint_stream_is_passthrough(self):
         ds = synth_generate(2, 1, 5, "uwa15", seed=9)
@@ -264,6 +264,19 @@ def test_score_file_round_trip(tmp_path):
     assert back.ids == sf.ids
     assert np.array_equal(back.labels, sf.labels)
     assert np.array_equal(back.scores, sf.scores)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_score_rows_are_the_repr_of_each_value(tmp_path, dtype):
+    f32 = np.finfo(np.float32)
+    row = np.array([-0.0, f32.smallest_subnormal, f32.max, 0.1], dtype=dtype)
+    sf = ScoreFile(["a"], np.array([0]), row[None])
+    path = tmp_path / "scores.csv"
+    save_scores(sf, str(path))
+    want = ",".join(repr(float(v)) for v in row)  # each numpy scalar as a Python float
+    assert path.read_text() == f"a,0,{want}\n#end,1\n"
+    back = load_scores(str(path)).scores[0]
+    assert back.tobytes() == row.astype(np.float64).tobytes()  # -0.0 keeps its sign
 
 
 class TestScoreFileEndMarker:

@@ -16,7 +16,7 @@ from skelpool.blocks import IsmParams, information_supplement
 from skelpool.gcn import GraphConvParams, gcn_block
 from skelpool.gradcheck import (_chain4, block_case, check_gradients, composite_cases,
                                 operator_cases)
-from skelpool.skeleton import normalized_adjacency
+from skelpool.skeleton import bone_matrix, normalized_adjacency
 
 CASES = {c.name: c for c in operator_cases() + composite_cases()}
 
@@ -68,8 +68,7 @@ WIDENING = {
     # embedding width 5 > 3 input coordinates: both first layers widen
     "_wide_information_supplement": block_case(
         "wide_information_supplement", partial(IsmParams.init, channels=5), (1, 3, 3, 4),
-        lambda x, params, adj: information_supplement(x, params, _chain4(), adj, train=True),
-        _CHAIN4_ADJ),
+        partial(information_supplement, train=True), bone_matrix(_chain4()), _CHAIN4_ADJ),
 }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from skelpool import model as M
+from skelpool import skeleton
 from skelpool.cli import main
 from skelpool.data import save_dataset, synth_generate
 from skelpool.flops import count_flops, no_pooling_control
@@ -97,6 +98,17 @@ class TestBuild:
             with pytest.raises(ValueError, match="partition"):
                 reject()
 
+    def test_ism_without_parent_map_rejected(self):
+        doc = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+        del doc["parents"]
+        cfg = slim_config(topology=doc)
+        for reject in (cfg.validate, lambda: build_model(cfg, seed=0)):
+            with pytest.raises(ValueError, match="no parent map.*--no-ism"):
+                reject()
+        model = build_model(dataclasses.replace(cfg, ism=False, ratio=1), seed=0)
+        assert model.bones is None
+        assert model.forward(rand_batch(model.config)).shape == (2, 8)
+
     def test_validate_passes_exactly_when_build_succeeds(self):
         # topologies with three, one and no pooling stages; widths that a ratio of
         # 2, 3 or 4 may fail to divide at the stem (ism on or off), at a stage input
@@ -104,8 +116,9 @@ class TestBuild:
         one_stage = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
         one_stage["stages"] = one_stage["stages"][:1]
         no_stages = {k: v for k, v in one_stage.items() if k != "stages"}
+        no_parents = {k: v for k, v in one_stage.items() if k != "parents"}
         for topology, variant, ism, adaptive, ratio, channels, k in itertools.product(
-                ("ntu25", one_stage, no_stages), ("light", "heavy"), (True, False),
+                ("ntu25", one_stage, no_stages, no_parents), ("light", "heavy"), (True, False),
                 (True, False), (1, 2, 3, 4), ((8, 16, 32), (6, 12, 24)), range(4)):
             cfg = slim_config(topology=topology, variant=variant, ism=ism,
                               adaptive=adaptive, ratio=ratio, channels=channels,
@@ -283,6 +296,21 @@ class TestBlockedEval:
             [e.output.shape for e in direct.entries]
         model.forward(x, train=True)
         assert sizes == [self.BATCH] * 3
+
+    def test_blocked_forward_builds_no_bone_matrix(self, model, monkeypatch):
+        calls, build = [], skeleton.bone_matrix
+
+        def counted(topology):
+            calls.append(topology.name)
+            return build(topology)
+
+        for module in (skeleton, M):
+            monkeypatch.setattr(module, "bone_matrix", counted)
+        sizes = self.block_sizes(model, monkeypatch)
+        model.forward(rand_batch(model.config, batch=self.BATCH, seed=18))
+        assert sizes == [3, 3, 3, 2] and calls == []
+        build_model(model.config, seed=0)
+        assert calls == ["ntu25"]  # once per built model
 
     def test_non_finite_value_in_a_later_block_names_its_operator(self, model, monkeypatch):
         x = rand_batch(model.config, batch=self.BATCH, seed=17)

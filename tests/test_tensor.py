@@ -342,6 +342,13 @@ def test_matmul_shared_right_operand_matches_einsum(dtype, transposed):
     np.testing.assert_allclose(gb, np.einsum("bcik,bcim->km", a_arr, r), **_tol(dtype))
 
 
+@pytest.mark.parametrize("b_shape", [(1, 3, 3, 2), (3, 3, 2), (2, 1, 3, 2)])
+def test_matmul_per_batch_operand_needs_equal_batch_axes(b_shape):
+    a = Tensor(np.zeros((2, 3, 4, 3)))
+    with pytest.raises(ValueError, match="batch axes differ"):
+        T.matmul(a, Tensor(np.zeros(b_shape)))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_batch_norm_train_matches_numpy_moments(dtype):
     rng = np.random.default_rng(26)
