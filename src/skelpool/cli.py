@@ -59,16 +59,22 @@ def _read_file(read, path: str):
         raise CliError(3, str(exc)) from exc
 
 
-def _scoring_input(args, stream: str):
-    """(model, x, labels, ids) of `--checkpoint` and `--data`, `stream` applied and
-    resampled to the model's frames. Another topology or class count exits 2."""
+def _model_input(cfg: ModelConfig, ds: D.Dataset, path: str, owner: str) -> D.Dataset:
+    """The dataset `ds` read from `path` as the model of `cfg` reads it: its
+    `cfg.stream`, resampled to `cfg.frames`. A topology or class count other than
+    the config's exits 2, naming the `owner` of the config."""
+    topo, want = load_topology(ds.topology)[0], load_topology(cfg.topology)[0]
+    if (topo, ds.class_count) != (want, cfg.classes):
+        raise CliError(2, f"{path}: topology '{topo.name}' and {ds.class_count} classes, not "
+                          f"the {owner}'s '{want.name}' and {cfg.classes}")
+    return D.resample_dataset(D.apply_stream(ds, cfg.stream), cfg.frames)
+
+
+def _scoring_input(args):
+    """(model, x, labels, ids) of `--checkpoint` and `--data`, as the model reads it."""
     model = _read_file(load_checkpoint, args.checkpoint)
-    ds = _read_file(D.load_dataset, args.data)
-    topo, _ = load_topology(ds.topology)
-    if (topo, ds.class_count) != (model.topology, model.config.classes):
-        raise CliError(2, f"{args.data}: topology '{topo.name}' and {ds.class_count} classes, not "
-                          f"the checkpoint's '{model.topology.name}' and {model.config.classes}")
-    ds = D.resample_dataset(D.apply_stream(ds, stream), model.config.frames)
+    ds = _model_input(model.config, _read_file(D.load_dataset, args.data), args.data,
+                      "checkpoint")
     return (model, *D.to_arrays(ds, dtype=model.dtype))
 
 
@@ -181,15 +187,12 @@ def cmd_train(args) -> int:
     train_cfg = config_from_doc(TR.TrainConfig, {
         **file_cfg["train"], **_config_flags(args, TR.TrainConfig)})
 
-    def prep(ds):
-        ds = D.apply_stream(ds, args.stream)
-        return D.resample_dataset(ds, model_cfg.frames)
-
-    train_set, eval_set = prep(train_ds), prep(eval_ds) if eval_ds else None
+    train_set = _model_input(model_cfg, train_ds, args.data, "training set")
+    eval_set = _model_input(model_cfg, eval_ds, args.eval, "training set") if eval_ds else None
     model = build_model(model_cfg, seed=args.model_seed)
     os.makedirs(args.out, exist_ok=True)  # only once the run can start
     _echo_config({"model": config_doc(model_cfg), "train": config_doc(train_cfg),
-                  "stream": args.stream, "data": args.data, "eval": args.eval},
+                  "data": args.data, "eval": args.eval},
                  out_dir=args.out)
     metrics = TR.train_loop(model, train_set, train_cfg, eval_set=eval_set,
                             log=lambda r: print(f"epoch {r.epoch} lr {r.lr:.4g} "
@@ -203,14 +206,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, x, y, ids = _scoring_input(args, args.stream)
+    model, x, y, ids = _scoring_input(args)
     start = time.perf_counter()
     scores = TR.predict_scores(model, x)
     rate = _throughput(len(ids), time.perf_counter() - start, model)
     sf = D.ScoreFile(ids, y, scores)
     D.save_scores(sf, args.out)
-    _echo_config({"checkpoint": args.checkpoint, "data": args.data,
-                  "stream": args.stream, "out": args.out})
+    _echo_config({"checkpoint": args.checkpoint, "data": args.data, "out": args.out})
     print(f"accuracy {sf.accuracy():.4f} over {len(ids)} samples -> {args.out} ({rate})")
     return 0
 
@@ -278,8 +280,7 @@ def cmd_export_topology(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    # joint coordinates until the checkpoint records its input stream
-    model, x, _, ids = _scoring_input(args, "joint")
+    model, x, _, ids = _scoring_input(args)
     if not (model.config.adaptive and model.config.pooling_locations):
         raise CliError(2, "checkpoint has no adaptive pooling; nothing to dump")
     x, ids = x[: args.limit], ids[: args.limit]
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval")
     p.add_argument("--config", help="JSON with optional 'model'/'train' sections")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stream", default="joint", choices=D.STREAMS)
     p.add_argument("--half-frames", action="store_true",
                    help="train on half the native frame count")
     p.add_argument("--model-seed", type=int, default=0)
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a dataset with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--stream", default="joint", choices=D.STREAMS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -382,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # NonFiniteError reports a non-finite operator output; numpy's warning would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -48,7 +48,15 @@ def _validate(ds: Dataset, topology: SkeletonTopology) -> None:
     if not ds.sequences:
         raise ValueError("empty dataset")
     n = topology.node_count
+    seen = set()
     for seq in ds.sequences:
+        if seq.id in seen:
+            raise ValueError(f"sample {seq.id!r}: the id is repeated")
+        seen.add(seq.id)
+        # an id starts a score or attention line, which load_scores strips and splits
+        if seq.id != seq.id.strip() or any(c in seq.id for c in ",\r\n"):
+            raise ValueError(f"sample {seq.id!r}: an id cannot hold a comma, a line break, "
+                             "or leading or trailing whitespace")
         if seq.frames.ndim != 3 or seq.frames.shape[1:] != (n, 3):
             raise ValueError(f"sample '{seq.id}': frames {seq.frames.shape} do not "
                              f"match ({n} joints, 3 coords)")

@@ -24,6 +24,7 @@ import numpy as np
 from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      classifier_head, cross_fusion_block, cross_fusion_split,
                      fuse_branches, global_average, information_supplement)
+from .data import STREAMS
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (SkeletonTopology, bone_matrix, json_field, load_topology,
@@ -33,7 +34,7 @@ from .tensor import Parameter, Tensor, named_leaves, recording, scope
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
 # and offered as the CLI's `choices`
 FIELD_CHOICES = {"variant": ("light", "heavy"), "sigma": SIGMAS,
-                 "fusion_mode": FUSION_MODES, "dtype": ("f32", "f64")}
+                 "fusion_mode": FUSION_MODES, "dtype": ("f32", "f64"), "stream": STREAMS}
 _MAGIC = b"SKPL"
 _VERSION = 1
 # The eval forward scores a batch in blocks whose widest activation fills at most
@@ -60,6 +61,7 @@ class ModelConfig:
     adaptive: bool = True
     residual_pool: bool = True
     dtype: str = "f32"
+    stream: str = "joint"  # the input the model reads: `data.apply_stream` of a dataset
 
     def validate(self) -> "ModelConfig":
         for name, allowed in FIELD_CHOICES.items():
@@ -92,6 +94,9 @@ class ModelConfig:
         if locs and len(scheme.stages) < len(locs):
             raise ValueError(f"scheme defines {len(scheme.stages)} pooling stages, "
                              f"{len(locs)} requested")
+        if self.stream == "bone" and topo.parents is None:
+            raise ValueError(f"topology '{topo.name}' has no parent map, which the bone "
+                             "stream needs; pass --stream joint or motion")
         if self.ism and topo.parents is None:
             raise ValueError(f"topology '{topo.name}' has no parent map, which the input "
                              "supplement's bone stream needs; pass --no-ism")

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import struct
 from dataclasses import fields
 
@@ -11,9 +12,10 @@ import pytest
 
 from skelpool import model as M
 from skelpool.cli import build_parser, main
-from skelpool.data import load_dataset, load_scores
+from skelpool.data import (ScoreFile, apply_stream, load_dataset, load_scores, save_scores,
+                           to_arrays)
 from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from skelpool.train import TrainConfig
+from skelpool.train import TrainConfig, predict_scores
 from skelpool.skeleton import (builtin_partition, builtin_topology, parse_topology,
                                topology_doc)
 
@@ -134,6 +136,16 @@ def test_motion_stream_training(workdir):
     code = main(["train", "--data", str(workdir / "train.json"), "--out", str(run),
                  "--stream", "motion"] + FAST_TRAIN)
     assert code == 0
+    config = json.loads((run / "config.json").read_text())
+    assert config["model"]["stream"] == "motion" and "stream" not in config
+    assert load_checkpoint(str(run / "model.ckpt")).config.stream == "motion"
+
+
+def test_eval_takes_no_stream_flag(workdir, small_checkpoint, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(small_checkpoint), "--data",
+              str(workdir / "test.json"), "--out", str(tmp_path / "s.csv"), "--stream", "bone"])
+    assert exc.value.code == 2
 
 
 def test_flops_reports_reduction_ratio(capsys):
@@ -290,26 +302,44 @@ TRI = {"name": "tri", "node_count": 3, "edges": [[1, 2], [2, 3]],
                   [{"members": [1, 2], "new_id": 1}], [{"members": [1], "new_id": 1}]]}
 
 
-@pytest.mark.parametrize("command", ["flops", "train"])
-def test_ism_without_parent_map_exits_2_before_the_config_line(tmp_path, capsys, command):
-    out = tmp_path / "run"
+def _tri_argv(tmp_path, command: str, model: dict, flags: list) -> list:
+    """`flops` with the `model` config section on TRI, or `train` on a TRI dataset
+    with the `flags`."""
     if command == "flops":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"topology": TRI}}))
-        argv = ["flops", "--config", str(config)]
-    else:
-        rng = np.random.default_rng(0)
-        data = tmp_path / "tri.json"
-        data.write_text(json.dumps({"topology": TRI, "classes": ["a", "b"], "samples": [
-            {"id": f"s{i}", "label": i % 2, "frames": rng.standard_normal((8, 3, 3)).tolist()}
-            for i in range(4)]}))
-        argv = ["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN
-    assert main(argv) == 2
+        config.write_text(json.dumps({"model": {"topology": TRI, **model}}))
+        return ["flops", "--config", str(config)]
+    rng = np.random.default_rng(0)
+    data = tmp_path / "tri.json"
+    data.write_text(json.dumps({"topology": TRI, "classes": ["a", "b"], "samples": [
+        {"id": f"s{i}", "label": i % 2, "frames": rng.standard_normal((8, 3, 3)).tolist()}
+        for i in range(4)]}))
+    return ["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN + flags
+
+
+@pytest.mark.parametrize("command", ["flops", "train"])
+def test_ism_without_parent_map_exits_2_before_the_config_line(tmp_path, capsys, command):
+    assert main(_tri_argv(tmp_path, command, {}, [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: topology 'tri' has no parent map")
     assert "--no-ism" in captured.err
-    assert not out.exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["flops", "train"])
+def test_bone_stream_without_parent_map_exits_2_before_the_config_line(tmp_path, capsys,
+                                                                       command):
+    # without the input supplement, which needs parents too; its 3-channel stem needs ratio 1
+    argv = _tri_argv(tmp_path, command, {"stream": "bone", "ism": False, "ratio": 1},
+                     ["--stream", "bone", "--no-ism", "--ratio", "1"])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: topology 'tri' has no parent map, which the bone "
+                                   "stream needs")
+    assert not (tmp_path / "run").exists()
+    assert main(argv + ["--stream", "motion"]) == 0  # the later flag wins
 
 
 # (malformed topology document, the field the message must name)
@@ -555,6 +585,7 @@ MODEL_FLAG_CASES = {
     "adaptive": (["--no-adaptive"], False),
     "residual_pool": (["--no-residual-pool"], False),
     "dtype": (["--dtype", "f64"], "f64"),
+    "stream": (["--stream", "motion"], "motion"),
 }
 TRAIN_FLAG_BASE = ["--channels", "4,8,8", "--ism-channels", "4", "--epochs", "1",
                    "--warmup", "1", "--decay-steps", "", "--batch-size", "4"]
@@ -628,15 +659,111 @@ def test_malformed_score_file_exits_3_naming_the_line(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def small_checkpoint(tmp_path_factory):
-    """An untrained uwa15 checkpoint matching the `workdir` datasets."""
-    path = tmp_path_factory.mktemp("small") / "model.ckpt"
-    model = build_model(ModelConfig(topology="uwa15", classes=3, frames=8,
-                                    channels=(4, 8, 8), ism_channels=4), seed=0)
+def _checkpoint(path, stream: str = "joint"):
+    """An untrained uwa15 model of `stream` matching the `workdir` datasets, saved
+    to `path`, with a head that tells the samples apart."""
+    model = build_model(ModelConfig(topology="uwa15", classes=3, frames=8, channels=(4, 8, 8),
+                                    ism_channels=4, stream=stream), seed=0)
     model.head.w.assign(np.random.default_rng(1).normal(0.0, 0.5, model.head.w.shape))
     save_checkpoint(model, str(path))
+    return model
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "model.ckpt"
+    _checkpoint(path)
     return path
+
+
+def test_bone_checkpoint_scores_the_bone_stream(workdir, tmp_path):
+    model = _checkpoint(tmp_path / "bone.ckpt", stream="bone")
+    out = tmp_path / "scores.csv"
+    assert main(["eval", "--checkpoint", str(tmp_path / "bone.ckpt"),
+                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
+    ds = load_dataset(str(workdir / "test.json"))  # at the model's 8 frames
+    for stream, same in (("bone", True), ("joint", False)):
+        x, y, ids = to_arrays(apply_stream(ds, stream))
+        want = tmp_path / f"{stream}.csv"
+        save_scores(ScoreFile(ids, y, predict_scores(model, x)), str(want))
+        assert (want.read_bytes() == out.read_bytes()) == same, stream
+
+
+def test_motion_checkpoint_dumps_the_motion_stream_fields(workdir, tmp_path):
+    model = _checkpoint(tmp_path / "motion.ckpt", stream="motion")
+    out = tmp_path / "attn"
+    assert main(["dump-attention", "--checkpoint", str(tmp_path / "motion.ckpt"),
+                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
+    got = [(out / f"attention_stage{s}.csv").read_text() for s in (1, 2, 3)]
+    ds = load_dataset(str(workdir / "test.json"))
+    for stream, same in (("motion", True), ("joint", False)):
+        x, _, ids = to_arrays(apply_stream(ds, stream))
+        corr: list = []
+        model.forward(x, train=False, corr_out=corr)
+        want = ["".join(f"{i},{t},{','.join(map(repr, row.tolist()))}\n"
+                        for i, field in zip(ids, values) for t, row in enumerate(field))
+                for _, values in corr]
+        assert (want == got) == same, stream
+
+
+def test_overflowing_weight_exits_4_with_one_error_line(workdir, tmp_path, capsys):
+    model = _checkpoint(tmp_path / "model.ckpt")
+    weight = dict(model.named_parameters())["ism.vec_conv2"]
+    value = weight.data.copy()
+    value.flat[0] = 3e38
+    weight.assign(value)
+    save_checkpoint(model, str(tmp_path / "model.ckpt"))
+    out = tmp_path / "scores.csv"
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite values produced by "
+                                               "operator 'matmul' in stage1"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sample_id", ["repeated", "a\nb"])
+def test_dataset_id_that_a_score_line_cannot_hold_exits_3(workdir, small_checkpoint, tmp_path,
+                                                          capsys, sample_id):
+    doc = json.loads((workdir / "test.json").read_text())
+    if sample_id == "repeated":
+        sample_id = doc["samples"][0]["id"]
+    doc["samples"][1]["id"] = sample_id
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "scores.csv"
+    assert main(["eval", "--checkpoint", str(small_checkpoint), "--data", str(data),
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {data}: sample {sample_id!r}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["a,b", "a\nb", " test"])
+def test_synth_split_that_a_score_line_cannot_hold_exits_2(tmp_path, capsys, split):
+    out = tmp_path / "d.json"
+    assert main(["synth", "--classes", "2", "--per-class", "1", "--frames", "4",
+                 "--topology", "uwa15", "--split", split, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: sample {split + '-00-000'!r}")
+    assert not out.exists()
+
+
+def test_readme_commands_parse(capsys):
+    """Every `skelpool` command of a ```sh block in README.md, its `\\` continuations
+    joined, parses (it is not run)."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("skelpool ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"{command}\n{capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -725,12 +852,9 @@ def test_fuse_rejects_an_overflowing_sum_before_writing(tmp_path, capsys, scores
     assert not fused.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "dump-attention"])
-@pytest.mark.parametrize("case", ["classes", "edges", "joints"])
-def test_dataset_unlike_the_checkpoint_exits_2_before_writing(workdir, small_checkpoint,
-                                                              tmp_path, capsys, command, case):
-    """The checkpoint scores 3 classes on uwa15: the dataset adds a class, keeps the
-    joint count of uwa15 with other bones, or is an ntu25 dataset."""
+def _unlike(workdir, tmp_path, case):
+    """The uwa15 3-class test set with one more class, with the joint count of uwa15
+    but other bones, or as an ntu25 dataset."""
     doc = json.loads((workdir / "test.json").read_text())
     if case == "classes":
         doc["classes"].append("extra")
@@ -743,12 +867,35 @@ def test_dataset_unlike_the_checkpoint_exits_2_before_writing(workdir, small_che
             sample["frames"] = np.zeros((8, 25, 3)).tolist()
     data = tmp_path / "data.json"
     data.write_text(json.dumps(doc))
+    return data
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
+@pytest.mark.parametrize("case", ["classes", "edges", "joints"])
+def test_dataset_unlike_the_checkpoint_exits_2_before_writing(workdir, small_checkpoint,
+                                                              tmp_path, capsys, command, case):
+    """The checkpoint scores 3 classes on uwa15, unlike the dataset."""
+    data = _unlike(workdir, tmp_path, case)
     out = tmp_path / "out"
     assert main([command, "--checkpoint", str(small_checkpoint), "--data", str(data),
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {data}: topology '") and "checkpoint" in captured.err
+    assert captured.err.startswith(f"error: {data}: topology '") and "checkpoint's" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["classes", "edges", "joints"])
+def test_eval_set_unlike_the_training_set_exits_2_before_the_config_line(workdir, tmp_path,
+                                                                         capsys, case):
+    data = _unlike(workdir, tmp_path, case)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(workdir / "train.json"), "--eval", str(data),
+                 "--out", str(out)] + FAST_TRAIN) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {data}: topology '")
+    assert "training set's 'uwa15' and 3" in captured.err
     assert not out.exists()
 
 

@@ -93,6 +93,19 @@ class TestDatasetIO:
                                                        "be an array of numbers")):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("ids, bad", [
+        (["s", "s"], "s"), ([1, "1"], "1"), (["s", "a,b"], "a,b"), (["s", "a\nb"], "a\nb"),
+        (["s", "a\rb"], "a\rb"), (["s", " a"], " a"), (["s", "a\t"], "a\t")],
+        ids=["repeated", "repeated-as-text", "comma", "newline", "return", "leading-space",
+             "trailing-tab"])
+    def test_an_id_that_a_score_line_cannot_hold_is_rejected(self, tmp_path, ids, bad):
+        frames = np.zeros((2, 15, 3)).tolist()
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"], "samples": [
+            {"id": i, "label": 0, "frames": frames} for i in ids]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sample {bad!r}: ")):
+            load_dataset(str(path))
+
     def test_integer_coordinates_load_as_floats(self, tmp_path):
         frames = np.ones((2, 15, 3), dtype=int).tolist()
         path = tmp_path / "ints.json"

@@ -109,6 +109,16 @@ class TestBuild:
         assert model.bones is None
         assert model.forward(rand_batch(model.config)).shape == (2, 8)
 
+    def test_bone_stream_without_parent_map_rejected(self):
+        doc = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+        del doc["parents"]
+        cfg = slim_config(topology=doc, stream="bone", ism=False, ratio=1)
+        for reject in (cfg.validate, lambda: build_model(cfg, seed=0)):
+            with pytest.raises(ValueError, match="no parent map, which the bone stream"):
+                reject()
+        for stream in ("joint", "motion"):
+            assert build_model(dataclasses.replace(cfg, stream=stream)).config.stream == stream
+
     def test_validate_passes_exactly_when_build_succeeds(self):
         # topologies with three, one and no pooling stages; widths that a ratio of
         # 2, 3 or 4 may fail to divide at the stem (ism on or off), at a stage input
@@ -433,6 +443,19 @@ class TestCheckpoint:
         for (na, sa), (nb, sb) in zip(model.named_state(), loaded.named_state()):
             assert na == nb and np.array_equal(sa, sb)
         assert np.array_equal(model.forward(x).data, loaded.forward(x).data)
+
+    def test_header_config_without_stream_loads_as_joint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(slim_config(stream="bone"), seed=0), str(path))
+        assert load_checkpoint(str(path)).config.stream == "bone"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        del header["config"]["stream"]  # a header written before the stream was recorded
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        loaded = load_checkpoint(str(path))
+        assert loaded.config == slim_config(stream="joint")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
