@@ -86,8 +86,11 @@ def positive_int(text: str) -> int:  # argparse: "invalid positive_int value"
 
 
 def _throughput(count: int, seconds: float, model) -> str:
-    """The rate and the eval block size of a scoring pass, for a summary line."""
-    return f"{count / max(seconds, 1e-9):.1f} samples/s, eval block {model.eval_block}"
+    """The rate, the eval block size and the thread count of a scoring pass of
+    `count` samples, for a summary line."""
+    threads = model.eval_threads(count)
+    return (f"{count / max(seconds, 1e-9):.1f} samples/s, eval block {model.eval_block} "
+            f"on {threads} thread{'s' if threads > 1 else ''}")
 
 
 def int_list(text: str) -> list[int]:  # argparse: "invalid int_list value"

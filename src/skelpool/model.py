@@ -15,8 +15,14 @@ validated config always builds.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,7 +35,7 @@ from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (SkeletonTopology, bone_matrix, json_field, load_topology,
                        normalized_adjacency, parse_json, stage_matrices)
-from .tensor import Parameter, Tensor, named_leaves, recording, scope
+from .tensor import Parameter, Tensor, block_path, named_leaves, recording, scope
 
 # the allowed values of each enumerated ModelConfig field, checked by `validate`
 # and offered as the CLI's `choices`
@@ -38,9 +44,10 @@ FIELD_CHOICES = {"variant": ("light", "heavy"), "sigma": SIGMAS,
 _MAGIC = b"SKPL"
 _VERSION = 1
 # The eval forward scores a batch in blocks whose widest activation fills at most
-# this many bytes, so no operator streams a batch-sized activation through memory.
-# Chosen from a sweep of blocks of 2 to 64 samples (see CHANGES.md).
-EVAL_BLOCK_BYTES = 2_500_000
+# this many bytes per BLAS thread, so no operator streams a batch-sized
+# activation through memory and each core's share of a block stays within its
+# L2 cache. Chosen from sweeps of the block size (see CHANGES.md).
+EVAL_BLOCK_BYTES = 1_250_000
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,83 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
+
+
+@functools.cache
+def _blas_thread_getter():
+    """`openblas_get_num_threads` of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            try:
+                fn = getattr(ctypes.CDLL(path), sym)
+            except (AttributeError, OSError):
+                continue
+            fn.restype = ctypes.c_int
+            return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The threads numpy's BLAS runs each call on now, or None where unknown."""
+    get = _blas_thread_getter()
+    return None if get is None else get()
+
+
+def _eval_workers() -> int:
+    """The most threads that score the blocks of one eval forward: one per core
+    this process may run on when BLAS runs each call on one thread, else one.
+    A multi-threaded BLAS already spreads each call over the cores, and a thread
+    per block on top of it halved the eval rate (see CHANGES.md)."""
+    if _blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_POOL: ThreadPoolExecutor | None = None  # built by the first eval forward of >= 2 blocks
+
+
+def _eval_pool() -> ThreadPoolExecutor:
+    """The threads that score eval blocks, `_eval_workers()` of them.
+
+    Building it limits glibc's malloc to one arena, for the whole process and
+    for good: an arena per thread keeps the blocks' freed buffers apart and
+    raised an eval's peak memory by a sixth (see CHANGES.md)."""
+    global _POOL
+    if _POOL is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt  # glibc only
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-8, 1)  # M_ARENA_MAX
+        except (AttributeError, OSError, TypeError):
+            pass
+        _POOL = ThreadPoolExecutor(_eval_workers(), thread_name_prefix="skelpool-eval")
+    return _POOL
+
+
+def _in_blocks(run, count: int, threads: int) -> list:
+    """[run(0), ..., run(count - 1)], on `threads` pool threads when more than
+    one, which take the indices in order.
+
+    Each pool thread runs under the caller's numpy error state and block path.
+    Every block runs; once all have stopped, the exception of the lowest-numbered
+    failed block is raised, the one a serial loop would have raised.
+    """
+    if threads == 1:
+        return [run(i) for i in range(count)]
+    err, path = np.geterr(), block_path()
+
+    def in_ctx(i: int):
+        with np.errstate(**err), scope(path) if path else contextlib.nullcontext():
+            return run(i)
+
+    futures = [_eval_pool().submit(in_ctx, i) for i in range(count)]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def _stage_widths(config: ModelConfig) -> list[tuple[int, int]]:
@@ -216,8 +300,15 @@ class Model:
 
     @property
     def eval_block(self) -> int:
-        """Samples per block of the eval forward (at least one)."""
-        return max(1, EVAL_BLOCK_BYTES // self.widest_activation_bytes())
+        """Samples per block of the eval forward (at least one): `EVAL_BLOCK_BYTES`
+        per thread that BLAS spreads a block over (one where unknown)."""
+        budget = EVAL_BLOCK_BYTES * (_blas_threads() or 1)
+        return max(1, budget // self.widest_activation_bytes())
+
+    def eval_threads(self, batch: int) -> int:
+        """Threads that score an eval batch of `batch` samples: one per block, at
+        most `_eval_workers()`."""
+        return max(1, min(_eval_workers(), -(-batch // self.eval_block)))
 
     def forward(self, x, train: bool = False, corr_out: list | None = None) -> Tensor:
         """Logits for a (batch, 3, frames, nodes) input.
@@ -227,9 +318,12 @@ class Model:
 
         In eval mode with nothing recording (no `Tape`, no `shape_record`) the
         samples are independent, so the batch runs through `logits` in blocks
-        of near-equal size, at most `eval_block` samples each, and the logits
-        and correlation fields are concatenated. A training forward, or one
-        that records, runs the whole batch at once.
+        of near-equal size, at most `eval_block` samples each, on
+        `eval_threads` threads, and the logits and correlation fields are
+        concatenated in block order. A training forward, or one that records,
+        runs the whole batch at once on the calling thread. The first forward
+        on more than one thread limits glibc's malloc to one arena for the
+        whole process (`_eval_pool`).
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x), dtype=self.dtype)
@@ -242,11 +336,13 @@ class Model:
                              f"{expect[1]}, {expect[2]})")
         if train or recording() or x.shape[0] <= self.eval_block:
             return self.logits(x, train, corr_out)
-        logits, fields = [], []
-        for part in np.array_split(x.data, -(-x.shape[0] // self.eval_block)):
+        parts = np.array_split(x.data, -(-x.shape[0] // self.eval_block))
+
+        def run(i: int) -> tuple[np.ndarray, list | None]:
             corr = None if corr_out is None else []
-            logits.append(self.logits(Tensor(part), False, corr).data)
-            fields.append(corr)
+            return self.logits(Tensor(parts[i]), False, corr).data, corr
+
+        logits, fields = zip(*_in_blocks(run, len(parts), self.eval_threads(x.shape[0])))
         if corr_out is not None:
             corr_out += [(i, np.concatenate([f[k][1] for f in fields]))
                          for k, (i, _) in enumerate(fields[0])]

@@ -15,6 +15,8 @@ Recording: operators executed inside a `with Tape() as t:` block append one
 entry each (operator id, input refs, output ref, replayable forward closure,
 backward closure). Outside a tape, operators just compute values (eval mode).
 `shape_record` records shapes instead; `scope` names the block that runs.
+The active tape, the shape record and the scope stack belong to the thread
+that set them, so threads record, and name their blocks, independently.
 `gradients` consumes a tape: each entry lets go of its arrays as soon as its
 backward has run, and the spent tape can be neither replayed nor
 differentiated again.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -157,15 +160,13 @@ class Tape:
         self.spent = False
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _STATE.tape is not None:
             raise RuntimeError("tapes do not nest")
-        _ACTIVE_TAPE = self
+        _STATE.tape = self
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _STATE.tape = None
 
     def __len__(self):
         return len(self.entries)
@@ -177,43 +178,55 @@ def _require_unspent(tape: Tape) -> None:
                            "their tensors; record a new tape")
 
 
-_ACTIVE_TAPE: Tape | None = None
-_RECORD: list | None = None
-_SCOPE: list[str] = []
+class _RecordingState(threading.local):
+    """One thread's active tape, shape record and stack of open scope names."""
+
+    def __init__(self):
+        self.tape: Tape | None = None
+        self.record: list | None = None
+        self.scope: list[str] = []
+
+
+_STATE = _RecordingState()
 
 
 @contextlib.contextmanager
 def scope(name: str):
     """Name a block: operators run inside it carry `name` in their dotted block path."""
-    _SCOPE.append(name)
+    _STATE.scope.append(name)
     try:
         yield
     finally:
-        _SCOPE.pop()
+        _STATE.scope.pop()
+
+
+def block_path() -> str:
+    """The dotted names of this thread's open scopes ("" outside every scope)."""
+    return ".".join(_STATE.scope)
 
 
 @contextlib.contextmanager
 def shape_record():
     """Yield a list that gets (block path, operator id, input shapes, output
     shape) per operator run inside; an active tape records nothing meanwhile."""
-    global _ACTIVE_TAPE, _RECORD
-    saved, _ACTIVE_TAPE, _RECORD = (_ACTIVE_TAPE, _RECORD), None, []
+    st = _STATE
+    saved, st.tape, st.record = (st.tape, st.record), None, []
     try:
-        yield _RECORD
+        yield st.record
     finally:
-        _ACTIVE_TAPE, _RECORD = saved
+        st.tape, st.record = saved
 
 
 def recording() -> bool:
     """Whether operators run now are recorded, on a tape or in a shape record."""
-    return _ACTIVE_TAPE is not None or _RECORD is not None
+    return _STATE.tape is not None or _STATE.record is not None
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
     # Element-wise, not through a sum: large finite values cannot overflow it,
     # numpy has nothing to warn about, and it is no slower than `arr.sum()`.
     if not np.isfinite(arr).all():
-        raise NonFiniteError(op, ".".join(_SCOPE))
+        raise NonFiniteError(op, block_path())
 
 
 def _apply(op: str, inputs: tuple[Tensor, ...], forward: Callable, backward: Callable) -> Tensor:
@@ -221,10 +234,11 @@ def _apply(op: str, inputs: tuple[Tensor, ...], forward: Callable, backward: Cal
     _finite_or_raise(out_arr, op)
     out = Tensor.__new__(Tensor)
     out.data = out_arr
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.entries.append(TapeEntry(op, inputs, out, forward, backward))
-    elif _RECORD is not None:
-        _RECORD.append((".".join(_SCOPE), op, tuple(t.shape for t in inputs), out_arr.shape))
+    st = _STATE
+    if st.tape is not None:
+        st.tape.entries.append(TapeEntry(op, inputs, out, forward, backward))
+    elif st.record is not None:
+        st.record.append((block_path(), op, tuple(t.shape for t in inputs), out_arr.shape))
     return out
 
 

@@ -5,6 +5,8 @@ import os
 import re
 import shlex
 import struct
+import threading
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -722,6 +724,39 @@ def test_overflowing_weight_exits_4_with_one_error_line(workdir, tmp_path, capsy
     assert not out.exists()
 
 
+def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tmp_path,
+                                                                     capsys, monkeypatch,
+                                                                     eval_threads):
+    """Each eval thread runs under the caller's numpy error state: the blocks
+    overflow on the pool threads as on the caller's, and none of them warns."""
+    model = _checkpoint(tmp_path / "model.ckpt")
+    weight = dict(model.named_parameters())["ism.vec_conv2"]
+    value = weight.data.copy()
+    value.flat[0] = 3e38
+    weight.assign(value)
+    save_checkpoint(model, str(tmp_path / "model.ckpt"))
+    eval_threads(2)
+    monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", 2 * model.widest_activation_bytes())
+    logits, threads = M.Model.logits, set()
+
+    def spy(self, h, *args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return logits(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(M.Model, "logits", spy)
+    out = tmp_path / "scores.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(workdir / "test.json"), "--out", str(out)])
+    assert code == 4 and threading.main_thread().name not in threads
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite values produced by "
+                                               "operator 'matmul' in stage1"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sample_id", ["repeated", "a\nb"])
 def test_dataset_id_that_a_score_line_cannot_hold_exits_3(workdir, small_checkpoint, tmp_path,
                                                           capsys, sample_id):
@@ -783,18 +818,21 @@ def test_non_positive_count_exits_2_naming_the_flag(workdir, small_checkpoint, t
 
 def test_eval_summary_reports_rate_and_eval_block(workdir, small_checkpoint, tmp_path,
                                                   capsys):
-    block = load_checkpoint(str(small_checkpoint)).eval_block
+    model = load_checkpoint(str(small_checkpoint))
+    block, threads = model.eval_block, model.eval_threads(6)
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(small_checkpoint),
                  "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert re.fullmatch(rf"accuracy \d\.\d{{4}} over 6 samples -> {re.escape(str(out))} "
-                        rf"\(\d+\.\d samples/s, eval block {block}\)", last), last
+                        rf"\(\d+\.\d samples/s, eval block {block} on {threads} threads?\)",
+                        last), last
 
 
 def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_path,
                                               capsys, monkeypatch):
-    widest = load_checkpoint(str(small_checkpoint)).widest_activation_bytes()
+    loaded = load_checkpoint(str(small_checkpoint))
+    widest = loaded.widest_activation_bytes()
     forward, calls = M.Model.forward, []
 
     def counted(self, *args, **kwargs):
@@ -812,8 +850,10 @@ def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_pat
                      "--out", str(out)]) == 0
         assert calls == [5]  # one forward over every sample, which blocks inside
         last = capsys.readouterr().out.strip().splitlines()[-1]
+        threads = loaded.eval_threads(5)  # blocks of 2: 3 blocks; then 1
         assert re.fullmatch(r"dumped 3 stages of 5 samples \(\d+\.\d samples/s, "
-                            rf"eval block {budget // widest}\)", last), last
+                            rf"eval block {budget // widest} on {threads} threads?\)",
+                            last), last
         files[budget] = [[row.split(",") for row in
                           (out / f"attention_stage{s}.csv").read_text().splitlines()]
                          for s in (1, 2, 3)]

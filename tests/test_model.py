@@ -4,7 +4,13 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -18,7 +24,7 @@ from skelpool.flops import count_flops, no_pooling_control
 from skelpool.model import (Model, ModelConfig, build_model, config_doc, config_from_doc,
                             load_checkpoint, save_checkpoint)
 from skelpool.skeleton import builtin_partition, builtin_topology, load_topology, topology_doc
-from skelpool.tensor import NonFiniteError, Tape, Tensor, relu, shape_record
+from skelpool.tensor import NonFiniteError, Tape, Tensor, relu, scope, shape_record
 from skelpool.train import TrainConfig
 
 SLIM = dict(classes=8, frames=16, channels=(8, 16, 32), ism_channels=8)
@@ -273,7 +279,7 @@ class TestBlockedEval:
         one_shot = model.logits(Tensor(x, dtype=model.dtype), False).data
         sizes = self.block_sizes(model, monkeypatch)
         got = model.forward(x).data
-        assert model.eval_block == 3 and sizes == [3, 3, 3, 2]
+        assert model.eval_block == 3 and sorted(sizes) == [2, 3, 3, 3]
         assert got.shape == one_shot.shape and np.ptp(one_shot) > 0.1
         assert np.allclose(got, one_shot, rtol=1e-5, atol=1e-6)
         assert np.array_equal(model.forward(x).data, got)
@@ -318,7 +324,7 @@ class TestBlockedEval:
             monkeypatch.setattr(module, "bone_matrix", counted)
         sizes = self.block_sizes(model, monkeypatch)
         model.forward(rand_batch(model.config, batch=self.BATCH, seed=18))
-        assert sizes == [3, 3, 3, 2] and calls == []
+        assert sorted(sizes) == [2, 3, 3, 3] and calls == []
         build_model(model.config, seed=0)
         assert calls == ["ntu25"]  # once per built model
 
@@ -330,9 +336,123 @@ class TestBlockedEval:
         sizes = self.block_sizes(model, monkeypatch)
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as got:
             model.forward(x)
-        assert sizes == [3, 3, 3, 2]
+        assert sorted(sizes) == [2, 3, 3, 3]
         assert (got.value.op, got.value.path) == (want.value.op, want.value.path)
         assert got.value.path == "ism"
+
+    def test_threads_give_bitwise_equal_logits_and_fields(self, model, eval_threads):
+        x = rand_batch(model.config, batch=self.BATCH, seed=19)
+        got = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for threads in (1, 3):
+                eval_threads(threads)
+                corr: list = []
+                got.append((model.forward(x, corr_out=corr).data, corr))
+                assert (M._POOL is None) == (threads == 1)  # one thread builds no pool
+        finally:
+            sys.setswitchinterval(switch)
+        (serial, serial_corr), (threaded, threaded_corr) = got
+        assert np.array_equal(serial, threaded)
+        assert [i for i, _ in serial_corr] == [i for i, _ in threaded_corr] == [1, 2, 3]
+        for (_, a), (_, b) in zip(serial_corr, threaded_corr):
+            assert np.array_equal(a, b)
+
+    def test_non_finite_value_in_a_later_block_on_three_threads(self, model, eval_threads):
+        x = rand_batch(model.config, batch=self.BATCH, seed=17)
+        x[self.BATCH - 1, 2, 5, 1] = -np.inf  # in the last block
+        errors = []
+        for threads in (1, 3):
+            eval_threads(threads)
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as exc, \
+                    scope("eval"):  # each thread's path starts at the caller's
+                model.forward(x)
+            errors.append((exc.value.op, exc.value.path))
+        assert errors[0] == errors[1] and errors[0][1] == "eval.ism"
+
+    @pytest.mark.parametrize("slow", [3, 9])  # block 1 or block 3 fails last
+    def test_lowest_failed_block_is_raised_once_every_block_stopped(self, model, monkeypatch,
+                                                                    eval_threads, slow):
+        eval_threads(3)
+        x = rand_batch(model.config, batch=self.BATCH, seed=20)
+        x[:, 0, 0, 0] = np.arange(self.BATCH)  # names each block by its first sample
+        logits, lock, running, failing = Model.logits, threading.Lock(), [], {}
+
+        def spy(self, h, train, corr_out=None):
+            first = int(h.data[0, 0, 0, 0])
+            with lock:
+                running.append(first)
+            try:
+                if first == slow:
+                    time.sleep(0.2)
+                if first in failing:
+                    raise ValueError(failing[first])
+                return logits(self, h, train, corr_out)
+            finally:
+                with lock:
+                    running.remove(first)
+
+        monkeypatch.setattr(Model, "logits", spy)
+        failing.update({3: "block 1", 9: "block 3"})
+        with pytest.raises(ValueError, match="^block 1$"):
+            model.forward(x)
+        assert running == []
+        failing.clear()
+        assert model.forward(x).shape == (self.BATCH, model.config.classes)
+        assert running == []
+
+
+@pytest.mark.parametrize("blas", [1, 2, 4, None])
+def test_eval_blocks_follow_the_blas_threads(monkeypatch, blas):
+    """A thread per block on top of a multi-threaded BLAS, or one whose thread
+    count is unknown, would nest two levels of threads; a block spread over k
+    BLAS threads gets k times the bytes."""
+    get = M._blas_thread_getter()
+    assert get is None or get() >= 1
+    monkeypatch.setattr(M, "_blas_threads", lambda: blas)
+    assert M._eval_workers() == (len(os.sched_getaffinity(0)) if blas == 1 else 1)
+    model = build_model(ModelConfig())
+    assert model.eval_block == (blas or 1) * M.EVAL_BLOCK_BYTES // 409600
+
+
+NO_POOL_PROBE = """
+import threading
+import numpy as np
+from skelpool import model as M
+from skelpool.data import synth_generate
+from skelpool.train import TrainConfig, train_loop
+
+def no_pool(step):
+    assert M._POOL is None and threading.active_count() == 1, step
+
+no_pool("import")
+ds = synth_generate(3, 2, 8, "uwa15", noise=0.01, seed=0, split="train")
+model = M.build_model(M.ModelConfig(topology="uwa15", classes=3, frames=8,
+                                    channels=(4, 8, 8), ism_channels=4), seed=0)
+no_pool("build_model")
+train_loop(model, ds, TrainConfig(epochs=1, warmup=1, decay_steps=(), batch_size=3,
+                                  augment=False))
+no_pool("train_loop")
+x = np.zeros((1, 3, 8, 15))
+model.forward(x)
+no_pool("batch-1 forward")
+M.EVAL_BLOCK_BYTES = model.widest_activation_bytes()
+model.forward(np.zeros((4, 3, 8, 15)))
+assert (M._POOL is not None) == (M._eval_workers() > 1), "a forward of 4 blocks"
+print("ok")
+"""
+
+
+def test_no_eval_pool_before_a_forward_of_two_blocks():
+    """Import, `build_model`, a training epoch and a batch-1 forward start no
+    thread; a forward of several blocks then builds the pool (given two cores)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", NO_POOL_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 class TestConfigDoc:
@@ -481,6 +601,10 @@ class TestCheckpoint:
             warnings.simplefilter("error")  # a damaged value must not reach numpy
             code = main([command, "--checkpoint", str(path), "--data", str(data),
                          "--out", str(tmp_path / "out")])
+            # `main` silences numpy's overflow and invalid-value warnings, so the
+            # reader is also called outside it
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_checkpoint(str(path))
         assert code == 3
         assert f"error: {path}:" in capsys.readouterr().err
 

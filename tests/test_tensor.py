@@ -1,5 +1,6 @@
 """Tensor core: operator semantics, recording, replay, and gradient evaluation."""
 
+import threading
 import warnings
 import weakref
 
@@ -189,6 +190,72 @@ def test_tapes_do_not_nest():
         with pytest.raises(RuntimeError):
             with Tape():
                 pass
+
+
+def _in_two_threads(fn) -> None:
+    """fn("a") on a second thread and fn("b") on this one, the second thread joined."""
+    other = threading.Thread(target=fn, args=("a",))
+    other.start()
+    try:
+        fn("b")
+    finally:
+        other.join(10)
+    assert not other.is_alive()
+
+
+def test_a_tape_records_nothing_from_another_thread():
+    x = Tensor(np.ones(3, np.float32))
+    opened, ran = threading.Event(), threading.Event()
+
+    def run(name):
+        if name == "a":  # runs operators while the other thread's tape is open
+            assert opened.wait(10)
+            T.add(x, x)
+            ran.set()
+            return
+        with Tape() as tape:
+            opened.set()
+            assert ran.wait(10)
+            T.mul(x, x)
+        assert [e.op for e in tape.entries] == ["mul"]
+
+    _in_two_threads(run)
+
+
+def test_two_threads_hold_a_tape_at_once():
+    x = Tensor(np.ones(3, np.float32))
+    both = threading.Barrier(2, timeout=10)
+    ops = {}
+
+    def run(name):
+        with Tape() as tape:
+            both.wait()  # both tapes are open
+            (T.add if name == "a" else T.mul)(x, x)
+            both.wait()  # both have recorded before either closes
+        ops[name] = [e.op for e in tape.entries]
+
+    _in_two_threads(run)
+    assert ops == {"a": ["add"], "b": ["mul"]}
+
+
+def test_shape_record_scope_and_error_path_are_per_thread():
+    x, bad = Tensor(np.ones((2, 2), np.float32)), Tensor(np.full((2, 2), np.inf, np.float32))
+    both = threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def run(name):
+        with T.scope(name), T.shape_record() as record:
+            both.wait()  # both scopes and records are open
+            T.add(x, x)
+            with pytest.raises(NonFiniteError) as exc:
+                T.add(bad, x)
+            both.wait()
+            seen[name] = (list(record), T.recording(), T.block_path(), exc.value.path)
+
+    _in_two_threads(run)
+    for name in "ab":
+        assert seen[name] == ([(name, "add", ((2, 2), (2, 2)), (2, 2))], True, name, name)
+    assert not T.recording() and T.block_path() == ""
 
 
 def test_large_finite_values_are_not_reported_non_finite():
