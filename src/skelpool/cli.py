@@ -97,10 +97,6 @@ def int_list(text: str) -> list[int]:  # argparse: "invalid int_list value"
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v != "")
-
-
 # config fields whose flag is not `--<field-name>`, and the help of some flags
 _SHORT_FLAGS = {"temporal_kernel": "kernel", "base_lr": "lr",
                 "early_stop_train_acc": "early-stop"}
@@ -263,7 +259,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_fuse(args) -> int:
     files = [_read_file(D.load_scores, p) for p in args.scores]
-    weights = list(_parse_floats(args.weights)) if args.weights else None
+    weights = [float(v) for v in args.weights.split(",") if v] if args.weights else None
     acc, fused = D.fuse_scores(files, weights)
     D.save_scores(fused, args.out)
     _echo_config({"scores": args.scores,
@@ -387,18 +383,11 @@ def main(argv=None) -> int:
         # NonFiniteError reports a non-finite operator output; numpy's warning would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except CliError as exc:
+    except (CliError, NonFiniteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, CliError):
+            return exc.code
+        return 4 if isinstance(exc, NonFiniteError) else 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

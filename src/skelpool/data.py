@@ -1,17 +1,18 @@
 """Dataset files, synthetic skeleton-motion generation, frame resampling, and
 multi-stream score fusion.
 
-Datasets are single JSON documents (64-bit coordinates, inspectable and
-diffable); score files are plain comma-separated rows closed by an end-marker
-line with the row count. The synthetic generator assigns each class a
-parametric motion on the kinematic tree: localized limb oscillations for most
-classes, whole-body bounce for every fourth, so classes differ by active
+Datasets and checkpoints are container files: a magic, a version, a JSON header,
+then raw little-endian blocks. Score files are plain comma-separated rows closed
+by an end-marker line with the row count. The synthetic generator assigns each
+class a parametric motion on the kinematic tree: localized limb oscillations for
+most classes, whole-body bounce for every fourth, so classes differ by active
 region, frequency, axis, and phase.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,49 +70,93 @@ def _validate(ds: Dataset, topology: SkeletonTopology) -> None:
                              f"0..{ds.class_count - 1}")
 
 
+# ---------------------------------------------------------------------------
+# container files: magic, version, JSON header, raw little-endian blocks
+
+CONTAINER_VERSION = 1
+_DATASET_MAGIC = b"SKDS"
+
+
+def write_container(path: str, magic: bytes, header: dict, blocks) -> None:
+    """Write `magic`, the `<I` version, the `<Q` length of the UTF-8 JSON `header`
+    (keys sorted), the header, then each array of `blocks`, little-endian."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<IQ", CONTAINER_VERSION, len(blob)) + blob)
+        for block in blocks:
+            fh.write(block.tobytes())
+
+
+def read_container(path: str, magic: bytes, kind: str, read):
+    """`read(header, block)` of the container file at `path`: `header` is the bytes
+    of its JSON header and `block(dtype, count)` its next `count` values, a
+    read-only view. Another magic or version, a file cut short, bytes after the
+    blocks `read` takes, or a ValueError of `read` raise ValueError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pos = 0
+
+    def block(dtype: str, count: int) -> np.ndarray:
+        nonlocal pos
+        size = count * np.dtype(dtype).itemsize
+        if size > len(raw) - pos:
+            raise ValueError(f"truncated {kind}")
+        pos += size
+        return np.frombuffer(raw, dtype, count, pos - size)
+
+    try:
+        if block("u1", 4).tobytes() != magic:
+            raise ValueError(f"not a {kind} file")
+        if (version := int(block("<u4", 1)[0])) != CONTAINER_VERSION:
+            raise ValueError(f"unsupported {kind} version {version}")
+        out = read(block("u1", int(block("<u8", 1)[0])).tobytes(), block)
+        if pos != len(raw):
+            raise ValueError(f"{len(raw) - pos} trailing bytes after the data blocks")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return out
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write the bytes of `json.dumps` of the whole document, one sample at a time:
-    only one sample's lists and string are alive at once."""
-    head = json.dumps({"topology": ds.topology, "classes": ds.classes, "split": ds.split})
-    with open(path, "w") as fh:  # `json.dumps` encodes in C, `json.dump` in Python
-        fh.write(head[:-1] + ', "samples": [')
-        for i, s in enumerate(ds.sequences):
-            fh.write((", " if i else "") + json.dumps(
-                {"id": s.id, "label": s.label, "frames": s.frames.tolist()}))
-        fh.write("]}")
+    """Write `ds` as a container (magic `SKDS`): the header lists each sample's
+    id, label and frame count, and one `<f8` block holds every sample's (frames,
+    joints, 3) coordinates in turn. Samples that `_validate` rejects raise
+    ValueError and write nothing."""
+    _validate(ds, load_topology(ds.topology)[0])
+    header = {"topology": ds.topology, "classes": ds.classes, "split": ds.split,
+              "samples": [{"id": s.id, "label": s.label, "frames": len(s.frames)}
+                          for s in ds.sequences]}
+    write_container(path, _DATASET_MAGIC, header,
+                    (s.frames.astype("<f8", copy=False) for s in ds.sequences))
 
 
-def _sequence(doc, i: int) -> LabeledSequence:
-    where = f"sample {i}"
-    rows = json_field(doc, "frames", (list,), where)
-    try:  # numpy raises TypeError for an object among the coordinates
-        frames = np.asarray(rows, dtype=np.float64)
-        # numpy also reads "1.5" and true as numbers: each coordinate is checked
-        if frames.ndim == 3 and not {type(v) for f in rows for j in f for v in j} <= {int, float}:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} field 'frames' must be an array of numbers") from None
-    return LabeledSequence(frames=frames, label=json_field(doc, "label", (int,), where),
-                           id=str(json_field(doc, "id", (str, int), where)))
+def _read_dataset(text: bytes, block) -> Dataset:
+    doc = parse_json(text.decode("utf-8"))
+    topology = json_field(doc, "topology", (str, dict), "dataset")
+    topo, _ = load_topology(topology)
+    classes = json_field(doc, "classes", (list,), "dataset")
+    split = json_field(doc, "split", (str,), "dataset", "train")
+    counts, labels, ids = [], [], []
+    for i, s in enumerate(json_field(doc, "samples", (list,), "dataset")):
+        where = f"sample {i}"
+        counts.append(json_field(s, "frames", (int,), where))
+        if counts[-1] < 1:
+            raise ValueError(f"{where} field 'frames' must be a positive integer, "
+                             f"not {counts[-1]}")
+        labels.append(json_field(s, "label", (int,), where))
+        ids.append(json_field(s, "id", (str,), where))
+    # one copy out of the read-only file buffer; each sample's frames are a view of it
+    coords = block("<f8", sum(counts) * topo.node_count * 3).astype(np.float64)
+    frames = np.split(coords.reshape(-1, topo.node_count, 3), np.cumsum(counts)[:-1])
+    ds = Dataset(topology, classes, split, list(map(LabeledSequence, frames, labels, ids)))
+    _validate(ds, topo)
+    return ds
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; invalid JSON, a missing or wrongly typed field, or a
-    key repeated in one JSON object, raises ValueError naming the file."""
-    try:
-        with open(path) as fh:
-            doc = parse_json(fh.read())
-        topology = json_field(doc, "topology", (str, dict), "dataset")
-        topo, _ = load_topology(topology)
-        ds = Dataset(
-            topology=topology, classes=json_field(doc, "classes", (list,), "dataset"),
-            split=json_field(doc, "split", (str,), "dataset", "train"),
-            sequences=[_sequence(s, i) for i, s in
-                       enumerate(json_field(doc, "samples", (list,), "dataset"))])
-        _validate(ds, topo)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return ds
+    """Read a dataset file written by `save_dataset`; a malformed container or
+    header field, or samples that `_validate` rejects, raise ValueError."""
+    return read_container(path, _DATASET_MAGIC, "dataset", _read_dataset)
 
 
 def to_arrays(ds: Dataset, dtype=np.float32):
@@ -200,6 +245,8 @@ def synth_generate(classes: int, per_class: int, frames: int,
     """Seeded synthetic dataset with `per_class` sequences per class."""
     if classes < 2:
         raise ValueError("need at least two classes")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be a finite non-negative number, not {noise}")
     topo, _ = load_topology(topology)
     rest = rest_pose(topo)
     rng = np.random.default_rng(seed)

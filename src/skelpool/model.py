@@ -19,9 +19,7 @@ import contextlib
 import ctypes
 import functools
 import glob
-import json
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
@@ -30,7 +28,7 @@ import numpy as np
 from .blocks import (FUSION_MODES, ClassifierHead, CrossFusionParams, IsmParams,
                      classifier_head, cross_fusion_block, cross_fusion_split,
                      fuse_branches, global_average, information_supplement)
-from .data import STREAMS
+from .data import STREAMS, read_container, write_container
 from .gcn import GraphConvParams, gcn_block
 from .pooling import SIGMAS, PoolingParams, st_pool
 from .skeleton import (SkeletonTopology, bone_matrix, json_field, load_topology,
@@ -42,7 +40,6 @@ from .tensor import Parameter, Tensor, block_path, named_leaves, recording, scop
 FIELD_CHOICES = {"variant": ("light", "heavy"), "sigma": SIGMAS,
                  "fusion_mode": FUSION_MODES, "dtype": ("f32", "f64"), "stream": STREAMS}
 _MAGIC = b"SKPL"
-_VERSION = 1
 # The eval forward scores a batch in blocks whose widest activation fills at most
 # this many bytes per BLAS thread, so no operator streams a batch-sized
 # activation through memory and each core's share of a block stays within its
@@ -417,64 +414,23 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, version, json header, raw little-endian blobs
-
-
-def _dtype_code(arr: np.ndarray) -> str:
-    return {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}[arr.dtype]
+# checkpoints: `data.write_container` and `data.read_container` with magic SKPL
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    params = model.named_parameters()
+    params = [(n, p.data) for n, p in model.named_parameters()]
     state = model.named_state()
-    header = {
-        "config": config_doc(model.config),
-        "seed": model.seed,
-        "params": [{"name": n, "shape": list(p.shape), "dtype": _dtype_code(p.data)}
-                   for n, p in params],
-        "state": [{"name": n, "shape": list(a.shape), "dtype": _dtype_code(a)}
-                  for n, a in state],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, p in params:
-            fh.write(p.data.astype("<" + _dtype_code(p.data)).tobytes())
-        for _, a in state:
-            fh.write(a.astype("<" + _dtype_code(a)).tobytes())
+    header = {"config": config_doc(model.config), "seed": model.seed}
+    for key, leaves in (("params", params), ("state", state)):
+        header[key] = [{"name": n, "shape": list(a.shape), "dtype": a.dtype.str[1:]}
+                       for n, a in leaves]
+    write_container(path, _MAGIC, header, (a.astype("<" + a.dtype.str[1:])
+                                           for _, a in params + state))
 
 
-def load_checkpoint(path: str) -> Model:
-    """Rebuild a model from a checkpoint file; a malformed file raises ValueError.
-
-    The header must list exactly the model's `named_parameters()` and then its
-    `named_state()`, in that order, with their shapes and a known dtype, and
-    the data blocks must end the file. Every stored value must be finite and
-    every running variance non-negative.
-    """
-    with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if n > len(raw) - pos:
-            raise ValueError(f"{path}: truncated checkpoint")
-        pos += n
-        return raw[pos - n : pos]
-
-    if take(4) != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", take(8))
-    blob = take(hlen).tobytes()
+def _read_checkpoint(text: bytes, block) -> Model:
     try:
-        header = parse_json(blob.decode("utf-8"))
+        header = parse_json(text.decode("utf-8"))
         config = config_from_doc(ModelConfig, json_field(header, "config", (dict,), "header"))
         seed = json_field(header, "seed", (int,), "header", 0)
         if seed < 0:
@@ -485,29 +441,36 @@ def load_checkpoint(path: str) -> Model:
                      for i, m in enumerate(json_field(header, key, (list,), "header"))]
                     for key in ("params", "state")]
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
+        raise ValueError(f"malformed checkpoint header: {exc}") from exc
     model = build_model(config, seed=seed)
 
     for kind, saved, leaves in (("parameter", sections[0], model.named_parameters()),
                                 ("state", sections[1], model.named_state())):
         if [name for name, _, _ in saved] != [name for name, _ in leaves]:
-            raise ValueError(f"{path}: {kind} entries do not match the config")
+            raise ValueError(f"{kind} entries do not match the config")
         for (name, shape, code), (_, leaf) in zip(saved, leaves):
             if code not in ("f4", "f8"):
-                raise ValueError(f"{path}: unknown dtype {code!r} for {name}")
+                raise ValueError(f"unknown dtype {code!r} for {name}")
             if shape != leaf.shape:
-                raise ValueError(f"{path}: {name} has shape {shape}, not {leaf.shape}")
-            dtype = np.dtype("<" + code)
-            value = np.frombuffer(take(leaf.size * dtype.itemsize), dtype=dtype)
-            value = value.reshape(shape).astype(model.dtype)
+                raise ValueError(f"{name} has shape {shape}, not {leaf.shape}")
+            value = block("<" + code, leaf.size).reshape(shape).astype(model.dtype)
             if not np.isfinite(value).all():
-                raise ValueError(f"{path}: {name} holds a non-finite value")
+                raise ValueError(f"{name} holds a non-finite value")
             if name.endswith(".running_var") and (value < 0).any():
-                raise ValueError(f"{path}: {name} holds a negative variance")
+                raise ValueError(f"{name} holds a negative variance")
             if isinstance(leaf, Parameter):
                 leaf.assign(value)
             else:
                 leaf[...] = value
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the data blocks")
     return model
+
+
+def load_checkpoint(path: str) -> Model:
+    """Rebuild a model from a checkpoint file; a malformed file raises ValueError.
+
+    The header must list exactly the model's `named_parameters()` and then its
+    `named_state()`, in that order, with their shapes and a known dtype, and
+    the data blocks must end the file. Every stored value must be finite and
+    every running variance non-negative.
+    """
+    return read_container(path, _MAGIC, "checkpoint", _read_checkpoint)

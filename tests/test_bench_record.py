@@ -11,8 +11,9 @@ bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
 
-def record(trace, load, busy, **metrics):
+def record(trace, load, busy, idle=0.99, **metrics):
     return {"trace": trace, "load_before": [load, 0.5, 0.25], "busy_start": busy,
+            "idle_before": idle,
             "summary": {"metrics": {k: {"value": v, "unit": u}
                                     for k, (v, u) in metrics.items()}}}
 
@@ -43,8 +44,9 @@ def test_spread_gives_median_and_quartiles():
 
 
 def test_summarize_one_workload():
-    untraced = [record(0, 0.5, False, items_per_s=(v, "items/s"), setup_s=(s, "s"))
-                for v, s in ((10.0, 1.0), (30.0, 3.0), (20.0, 2.0))]
+    # idle below 0.9 marks a run busy that the harness, reading the load average, did not
+    untraced = [record(0, 0.5, False, idle, items_per_s=(v, "items/s"), setup_s=(s, "s"))
+                for v, s, idle in ((10.0, 1.0, 0.95), (30.0, 3.0, 0.5), (20.0, 2.0, None))]
     traced = record(1, 2.5, True, **{"tensor.conv1x1.fwd_ms": (4.0, "ms")},
                     **shares(0.99, 0.96))
     got = bench_record.summarize(untraced, traced)
@@ -56,5 +58,12 @@ def test_summarize_one_workload():
     assert got["per_layer"] == {"tensor.conv1x1.fwd_ms": {"value": 4.0, "unit": "ms"},
                                 **shares_metrics(0.99, 0.96)}
     assert got["per_layer_comparable"] is True
-    assert got["runs"] == [{"trace": 0, "load_before": [0.5, 0.5, 0.25], "busy": False}] * 3 \
-        + [{"trace": 1, "load_before": [2.5, 0.5, 0.25], "busy": True}]
+    untraced_runs = [{"trace": 0, "load_before": [0.5, 0.5, 0.25], "idle_before": idle,
+                      "busy": busy} for idle, busy in ((0.95, False), (0.5, True), (None, False))]
+    assert got["runs"] == untraced_runs + [
+        {"trace": 1, "load_before": [2.5, 0.5, 0.25], "idle_before": 0.99, "busy": True}]
+
+
+def test_idle_share_is_a_share_or_none():
+    share = bench_record.idle_share(0.05)
+    assert share is None or 0.0 <= share <= 1.0

@@ -14,8 +14,8 @@ import pytest
 
 from skelpool import model as M
 from skelpool.cli import build_parser, main
-from skelpool.data import (ScoreFile, apply_stream, load_dataset, load_scores, save_scores,
-                           to_arrays)
+from skelpool.data import (Dataset, LabeledSequence, ScoreFile, apply_stream, load_dataset,
+                           load_scores, save_dataset, save_scores, to_arrays)
 from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from skelpool.train import TrainConfig, predict_scores
 from skelpool.skeleton import (builtin_partition, builtin_topology, parse_topology,
@@ -32,8 +32,8 @@ FAST_TRAIN = ["--channels", "4,8,8", "--ism-channels", "4", "--epochs", "2",
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    train = root / "train.json"
-    test = root / "test.json"
+    train = root / "train.skds"
+    test = root / "test.skds"
     assert main(["synth", "--classes", "3", "--per-class", "4", "--frames", "8",
                  "--topology", "uwa15", "--seed", "1", "--out", str(train)]) == 0
     assert main(["synth", "--classes", "3", "--per-class", "2", "--frames", "8",
@@ -43,7 +43,7 @@ def workdir(tmp_path_factory):
 
 
 def test_synth_writes_requested_sample_count(tmp_path):
-    out = tmp_path / "d.json"
+    out = tmp_path / "d.skds"
     code = main(["synth", "--classes", "8", "--per-class", "16", "--frames", "16",
                  "--topology", "ntu25", "--seed", "7", "--out", str(out)])
     assert code == 0
@@ -68,13 +68,13 @@ def test_unknown_flag_exits_2():
 
 def test_missing_input_file_exits_3(tmp_path):
     code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
-                 "--data", str(tmp_path / "none.json"),
+                 "--data", str(tmp_path / "none.skds"),
                  "--out", str(tmp_path / "s.csv")])
     assert code == 3
 
 
 def test_bad_config_value_exits_2(workdir, tmp_path):
-    code = main(["train", "--data", str(workdir / "train.json"),
+    code = main(["train", "--data", str(workdir / "train.skds"),
                  "--out", str(tmp_path / "run"), "--variant", "light",
                  "--kernel", "4"] + FAST_TRAIN[:-2])
     assert code == 2
@@ -82,8 +82,8 @@ def test_bad_config_value_exits_2(workdir, tmp_path):
 
 def test_train_eval_fuse_dump_pipeline(workdir):
     run = workdir / "run"
-    code = main(["train", "--data", str(workdir / "train.json"),
-                 "--eval", str(workdir / "test.json"), "--out", str(run)]
+    code = main(["train", "--data", str(workdir / "train.skds"),
+                 "--eval", str(workdir / "test.skds"), "--out", str(run)]
                 + FAST_TRAIN)
     assert code == 0
     assert (run / "metrics.csv").exists()
@@ -93,7 +93,7 @@ def test_train_eval_fuse_dump_pipeline(workdir):
 
     scores = workdir / "scores.csv"
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"),
-                 "--data", str(workdir / "test.json"), "--out", str(scores)]) == 0
+                 "--data", str(workdir / "test.skds"), "--out", str(scores)]) == 0
     sf = load_scores(str(scores))
     assert sf.scores.shape == (6, 3)
     assert np.allclose(sf.scores.sum(axis=1), 1.0, atol=1e-5)
@@ -106,7 +106,7 @@ def test_train_eval_fuse_dump_pipeline(workdir):
 
     attn = workdir / "attn"
     assert main(["dump-attention", "--checkpoint", str(run / "model.ckpt"),
-                 "--data", str(workdir / "test.json"), "--limit", "2",
+                 "--data", str(workdir / "test.skds"), "--limit", "2",
                  "--out", str(attn)]) == 0
     for stage, nodes in ((1, 15), (2, 10), (3, 5)):
         lines = (attn / f"attention_stage{stage}.csv").read_text().strip().splitlines()
@@ -118,7 +118,7 @@ def test_train_runs_are_byte_identical(workdir):
     outs = []
     for tag in ("detA", "detB"):
         run = workdir / tag
-        assert main(["train", "--data", str(workdir / "train.json"),
+        assert main(["train", "--data", str(workdir / "train.skds"),
                      "--out", str(run)] + FAST_TRAIN) == 0
         outs.append((run / "metrics.csv").read_bytes()
                     + (run / "model.ckpt").read_bytes())
@@ -126,7 +126,7 @@ def test_train_runs_are_byte_identical(workdir):
 
 
 def test_synth_is_byte_identical_for_same_seed(tmp_path):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths = [tmp_path / "a.skds", tmp_path / "b.skds"]
     for p in paths:
         assert main(["synth", "--classes", "2", "--per-class", "2", "--frames", "6",
                      "--topology", "uwa15", "--seed", "5", "--out", str(p)]) == 0
@@ -135,7 +135,7 @@ def test_synth_is_byte_identical_for_same_seed(tmp_path):
 
 def test_motion_stream_training(workdir):
     run = workdir / "motion"
-    code = main(["train", "--data", str(workdir / "train.json"), "--out", str(run),
+    code = main(["train", "--data", str(workdir / "train.skds"), "--out", str(run),
                  "--stream", "motion"] + FAST_TRAIN)
     assert code == 0
     config = json.loads((run / "config.json").read_text())
@@ -146,7 +146,7 @@ def test_motion_stream_training(workdir):
 def test_eval_takes_no_stream_flag(workdir, small_checkpoint, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--checkpoint", str(small_checkpoint), "--data",
-              str(workdir / "test.json"), "--out", str(tmp_path / "s.csv"), "--stream", "bone"])
+              str(workdir / "test.skds"), "--out", str(tmp_path / "s.csv"), "--stream", "bone"])
     assert exc.value.code == 2
 
 
@@ -197,7 +197,7 @@ def test_export_topology_round_trips(tmp_path):
 
 def test_half_frames_training(workdir):
     run = workdir / "half"
-    assert main(["train", "--data", str(workdir / "train.json"), "--out", str(run),
+    assert main(["train", "--data", str(workdir / "train.skds"), "--out", str(run),
                  "--half-frames"] + FAST_TRAIN) == 0
     config = json.loads((run / "config.json").read_text())
     assert config["model"]["frames"] == 4
@@ -209,7 +209,7 @@ def test_config_precedence_defaults_then_file_then_flags(workdir, tmp_path):
         "model": {"channels": [4, 8, 8], "ism_channels": 8, "sigma": "sigmoid"},
         "train": {"epochs": 3, "base_lr": 0.01, "decay_steps": [2], "batch_size": 4}}))
     run = tmp_path / "run"
-    assert main(["train", "--data", str(workdir / "train.json"), "--out", str(run),
+    assert main(["train", "--data", str(workdir / "train.skds"), "--out", str(run),
                  "--config", str(config), "--ism-channels", "4", "--epochs", "2",
                  "--warmup", "1", "--decay-steps", "", "--no-augment"]) == 0
     echoed = json.loads((run / "config.json").read_text())
@@ -254,7 +254,7 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
     config.write_text(json.dumps(doc))
     args = ["--config", str(config)]
     if command == "train":  # no model or train flags: they would override the file
-        args += ["--data", str(workdir / "train.json"), "--out", str(tmp_path / "run")]
+        args += ["--data", str(workdir / "train.skds"), "--out", str(tmp_path / "run")]
     assert main([command] + args) == code
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -272,20 +272,20 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
                                    ["train", "--frames", "4", "--half-frames"]])
 def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
     if flags[0] == "train":  # the flag under test comes last, so it overrides FAST_TRAIN
-        flags = ["train", "--data", str(workdir / "train.json"),
+        flags = ["train", "--data", str(workdir / "train.skds"),
                  "--out", str(tmp_path / "run")] + FAST_TRAIN + flags[1:]
     assert main(flags) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("flags, code", [(["--lr", "0"], 2), (["--kernel", "4"], 2),
-                                         (["--no-ism"], 2), (["--data", "missing.json"], 3)],
+                                         (["--no-ism"], 2), (["--data", "missing.skds"], 3)],
                          ids=["lr-0", "kernel-4", "no-ism", "missing-data"])
 def test_failing_train_creates_no_out_directory(workdir, tmp_path, capsys, flags, code):
     out = tmp_path / "run"
     if flags[0] == "--data":
         flags = ["--data", str(tmp_path / flags[1])]
-    assert main(["train", "--data", str(workdir / "train.json"), "--out", str(out)]
+    assert main(["train", "--data", str(workdir / "train.skds"), "--out", str(out)]
                 + FAST_TRAIN + flags) == code
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
@@ -312,10 +312,10 @@ def _tri_argv(tmp_path, command: str, model: dict, flags: list) -> list:
         config.write_text(json.dumps({"model": {"topology": TRI, **model}}))
         return ["flops", "--config", str(config)]
     rng = np.random.default_rng(0)
-    data = tmp_path / "tri.json"
-    data.write_text(json.dumps({"topology": TRI, "classes": ["a", "b"], "samples": [
-        {"id": f"s{i}", "label": i % 2, "frames": rng.standard_normal((8, 3, 3)).tolist()}
-        for i in range(4)]}))
+    data = tmp_path / "tri.skds"
+    save_dataset(Dataset(TRI, ["a", "b"], "train", [
+        LabeledSequence(rng.standard_normal((8, 3, 3)), i % 2, f"s{i}") for i in range(4)]),
+        str(data))
     return ["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN + flags
 
 
@@ -396,15 +396,14 @@ def topology_checkpoint(tmp_path_factory):
 
 @pytest.mark.parametrize("doc, named", MALFORMED_TOPOLOGIES)
 def test_malformed_topology_document_exits_with_message(workdir, topology_checkpoint,
-                                                        tmp_path, capsys, doc, named):
+                                                        change_header, tmp_path, capsys, doc,
+                                                        named):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {"topology": doc}}))
     assert main(["flops", "--config", str(config)]) == 2
     assert f"'{named}'" in capsys.readouterr().err
-    dataset = json.loads((workdir / "train.json").read_text())
-    dataset["topology"] = doc
-    data = tmp_path / "train.json"
-    data.write_text(json.dumps(dataset))
+    data = tmp_path / "train.skds"
+    change_header(workdir / "train.skds", data, lambda d: d.update(topology=doc))
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
                 + FAST_TRAIN) == 3
     err = capsys.readouterr().err
@@ -414,7 +413,7 @@ def test_malformed_topology_document_exits_with_message(workdir, topology_checkp
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
-    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.skds"),
                  "--out", str(tmp_path / "scores.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}:") and f"'{named}'" in err
@@ -445,12 +444,14 @@ def test_config_with_repeated_key_exits_3_naming_it(tmp_path, capsys, text, key)
     ('"split": "train"', '"split": "train", "split": "test"', "split"),
     ('"label": 0', '"label": 0, "label": 0', "label"),
 ], ids=["topology-parents", "top-level", "sample-field"])
-def test_dataset_with_repeated_key_exits_3_naming_it(workdir, tmp_path, capsys, original,
-                                                     repeated, key):
-    text = (workdir / "train.json").read_text()
-    assert original in text
-    data = tmp_path / "train.json"
-    data.write_text(text.replace(original, repeated, 1))
+def test_dataset_with_repeated_key_exits_3_naming_it(workdir, rewrite_header, tmp_path, capsys,
+                                                     original, repeated, key):
+    def edit(text):
+        assert original in text
+        return text.replace(original, repeated, 1)
+
+    data = tmp_path / "train.skds"
+    rewrite_header(workdir / "train.skds", data, edit)
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
                 + FAST_TRAIN) == 3
     err = capsys.readouterr().err
@@ -472,7 +473,7 @@ def test_checkpoint_header_with_repeated_key_exits_3_naming_it(workdir, topology
     blob = text.replace(placeholder, repeated, 1).encode("utf-8")
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
-    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.skds"),
                  "--out", str(tmp_path / "scores.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: malformed checkpoint header")
@@ -484,14 +485,15 @@ def test_checkpoint_header_with_repeated_key_exits_3_naming_it(workdir, topology
                                              ("config", "ratio", 2),
                                              ("checkpoint", "seed", 3)])
 def test_a_bool_for_an_integer_is_worded_alike_in_every_document(
-        workdir, topology_checkpoint, tmp_path, capsys, kind, key, code):
-    dataset = json.loads((workdir / "train.json").read_text())
-    if kind == "dataset":
-        dataset["samples"][0]["label"] = True
-    elif kind == "topology":
-        dataset["topology"] = {**topology_doc(builtin_topology("uwa15")), "node_count": True}
-    data = tmp_path / "train.json"
-    data.write_text(json.dumps(dataset))
+        workdir, topology_checkpoint, change_header, tmp_path, capsys, kind, key, code):
+    def change(dataset):
+        if kind == "dataset":
+            dataset["samples"][0]["label"] = True
+        elif kind == "topology":
+            dataset["topology"] = {**topology_doc(builtin_topology("uwa15")), "node_count": True}
+
+    data = tmp_path / "train.skds"
+    change_header(workdir / "train.skds", data, change)
     if kind == "config":
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"model": {"ratio": True}}))
@@ -501,7 +503,7 @@ def test_a_bool_for_an_integer_is_worded_alike_in_every_document(
         blob = json.dumps({**header, "seed": True}, sort_keys=True).encode("utf-8")
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.json"),
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "test.skds"),
                 "--out", str(tmp_path / "scores.csv")]
     else:
         argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN
@@ -512,17 +514,17 @@ def test_a_bool_for_an_integer_is_worded_alike_in_every_document(
 
 
 def test_train_accepts_dataset_with_topology_document(workdir, tmp_path):
-    doc = json.loads((workdir / "train.json").read_text())
-    doc["topology"] = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
-    data = tmp_path / "train.json"
-    data.write_text(json.dumps(doc))
+    ds = load_dataset(str(workdir / "train.skds"))
+    ds.topology = topology_doc(builtin_topology("uwa15"), builtin_partition("uwa15"))
+    data = tmp_path / "train.skds"
+    save_dataset(ds, str(data))
     run = tmp_path / "run"
     assert main(["train", "--data", str(data), "--out", str(run)] + FAST_TRAIN) == 0
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
                  "--out", str(tmp_path / "s.csv")]) == 0
 
 
-_SAMPLE = {"id": "s", "label": 0, "frames": np.zeros((2, 15, 3)).tolist()}
+_SAMPLE = {"id": "s", "label": 0, "frames": 2}
 
 # (malformed dataset document, the field the message must name)
 MALFORMED_DATASETS = [
@@ -544,19 +546,17 @@ MALFORMED_DATASETS = [
       "samples": [{k: v for k, v in _SAMPLE.items() if k != "id"}]}, "id"),
     ({"topology": "uwa15", "classes": ["a"], "split": 1, "samples": [_SAMPLE]}, "split"),
     ([1, 2], "topology"),
-    ({"topology": "uwa15", "classes": ["a"],
-      "samples": [{**_SAMPLE, "frames": [[["0.5", 0.0, 0.0]] * 15] * 2}]}, "frames"),
-    ({"topology": "uwa15", "classes": ["a"],
-      "samples": [{**_SAMPLE, "frames": [[[True, 0.5, 0.0]] * 15] * 2}]}, "frames"),
+    # a frame count is an integer, not its text or a bool
+    ({"topology": "uwa15", "classes": ["a"], "samples": [{**_SAMPLE, "frames": "2"}]},
+     "frames"),
+    ({"topology": "uwa15", "classes": ["a"], "samples": [{**_SAMPLE, "frames": True}]},
+     "frames"),
 ]
 
 
-@pytest.mark.parametrize("doc, named", MALFORMED_DATASETS)
-def test_malformed_dataset_exits_3_with_message(tmp_path, capsys, doc, named):
-    from skelpool.model import ModelConfig, build_model, save_checkpoint
-
-    data = tmp_path / "data.json"
-    data.write_text(json.dumps(doc))
+def _malformed_dataset_exits_3(tmp_path, capsys, data, message):
+    """`train` and `eval` on the dataset file `data` exit 3 with one `error:` line
+    that names the file and holds `message`."""
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(build_model(ModelConfig(topology="uwa15", classes=3, frames=8,
                                             channels=(4, 8, 8), ism_channels=4)), str(ckpt))
@@ -564,8 +564,68 @@ def test_malformed_dataset_exits_3_with_message(tmp_path, capsys, doc, named):
                  ["eval", "--checkpoint", str(ckpt), "--data", str(data),
                   "--out", str(tmp_path / "s.csv")]):
         assert main(args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {data}:") and f"'{named}'" in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {data}:") and message in captured.err
+
+
+def _one_sample(tmp_path):
+    """A dataset file of `_SAMPLE`: two frames of zeros on uwa15."""
+    data = tmp_path / "data.json"  # the benchmark's name: the format ignores it
+    save_dataset(Dataset("uwa15", ["a"], "train",
+                         [LabeledSequence(np.zeros((2, 15, 3)), 0, "s")]), str(data))
+    return data
+
+
+@pytest.mark.parametrize("doc, named", MALFORMED_DATASETS)
+def test_malformed_dataset_exits_3_with_message(tmp_path, capsys, rewrite_header, doc, named):
+    data = _one_sample(tmp_path)
+    rewrite_header(data, data, lambda _: json.dumps(doc))
+    _malformed_dataset_exits_3(tmp_path, capsys, data, f"'{named}'")
+
+
+# (a damage to the bytes of `_one_sample`, the message it must give)
+DAMAGED_DATASETS = {
+    "short-block": (lambda raw: raw[:-8], "truncated dataset"),
+    "trailing-bytes": (lambda raw: raw + bytes(5), "5 trailing bytes after the data blocks"),
+    "wrong-magic": (lambda raw: b"SKPL" + raw[4:], "not a dataset file"),
+    "version-2": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+                  "unsupported dataset version 2"),
+    "nan-coordinate": (lambda raw: raw[:-8] + struct.pack("<d", np.nan),
+                       "sample 's': non-finite coordinates"),
+    "header-not-utf8": (lambda raw: raw[:16] + b"\xff" + raw[17:], "'utf-8' codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_DATASETS)
+def test_damaged_dataset_block_exits_3_with_message(tmp_path, capsys, case):
+    damage, message = DAMAGED_DATASETS[case]
+    data = _one_sample(tmp_path)
+    data.write_bytes(damage(data.read_bytes()))
+    _malformed_dataset_exits_3(tmp_path, capsys, data, message)
+
+
+@pytest.mark.parametrize("case", ["checkpoint-as-data", "dataset-as-checkpoint",
+                                  "json-dataset"])
+def test_a_file_of_another_kind_exits_3(workdir, small_checkpoint, tmp_path, capsys, case):
+    """A checkpoint given as `--data`, a dataset as `--checkpoint`, or a dataset in
+    the JSON document of earlier versions, which `synth` must write again."""
+    checkpoint, data, kind = small_checkpoint, small_checkpoint, "dataset"
+    if case == "dataset-as-checkpoint":
+        checkpoint, data, kind = workdir / "test.skds", workdir / "test.skds", "checkpoint"
+    elif case == "json-dataset":
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b", "c"],
+                                    "split": "test", "samples": [{
+                                        "id": "s", "label": 0,
+                                        "frames": np.zeros((8, 15, 3)).tolist()}]}))
+    out = tmp_path / "s.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    bad = checkpoint if kind == "checkpoint" else data
+    assert captured.out == "" and captured.err == f"error: {bad}: not a {kind} file\n"
+    assert not out.exists()
 
 
 # one non-default value per config field: the argv that sets it and the value that
@@ -628,7 +688,7 @@ def test_config_flag_is_read_back(workdir, tmp_path, capsys, command, name):
     else:
         (argv, value), cls, section = TRAIN_FLAG_CASES[name], TrainConfig, "train"
         run = tmp_path / "run"
-        assert main(["train", "--data", str(workdir / "train.json"), "--out", str(run)]
+        assert main(["train", "--data", str(workdir / "train.skds"), "--out", str(run)]
                     + TRAIN_FLAG_BASE + argv) == 0
         doc = json.loads((run / "config.json").read_text())
     default = next(f.default for f in fields(cls) if f.name == name)
@@ -682,8 +742,8 @@ def test_bone_checkpoint_scores_the_bone_stream(workdir, tmp_path):
     model = _checkpoint(tmp_path / "bone.ckpt", stream="bone")
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(tmp_path / "bone.ckpt"),
-                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
-    ds = load_dataset(str(workdir / "test.json"))  # at the model's 8 frames
+                 "--data", str(workdir / "test.skds"), "--out", str(out)]) == 0
+    ds = load_dataset(str(workdir / "test.skds"))  # at the model's 8 frames
     for stream, same in (("bone", True), ("joint", False)):
         x, y, ids = to_arrays(apply_stream(ds, stream))
         want = tmp_path / f"{stream}.csv"
@@ -695,9 +755,9 @@ def test_motion_checkpoint_dumps_the_motion_stream_fields(workdir, tmp_path):
     model = _checkpoint(tmp_path / "motion.ckpt", stream="motion")
     out = tmp_path / "attn"
     assert main(["dump-attention", "--checkpoint", str(tmp_path / "motion.ckpt"),
-                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
+                 "--data", str(workdir / "test.skds"), "--out", str(out)]) == 0
     got = [(out / f"attention_stage{s}.csv").read_text() for s in (1, 2, 3)]
-    ds = load_dataset(str(workdir / "test.json"))
+    ds = load_dataset(str(workdir / "test.skds"))
     for stream, same in (("motion", True), ("joint", False)):
         x, _, ids = to_arrays(apply_stream(ds, stream))
         corr: list = []
@@ -717,7 +777,7 @@ def test_overflowing_weight_exits_4_with_one_error_line(workdir, tmp_path, capsy
     save_checkpoint(model, str(tmp_path / "model.ckpt"))
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
-                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 4
+                 "--data", str(workdir / "test.skds"), "--out", str(out)]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite values produced by "
                                                "operator 'matmul' in stage1"), err
@@ -748,7 +808,7 @@ def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tm
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
-                     "--data", str(workdir / "test.json"), "--out", str(out)])
+                     "--data", str(workdir / "test.skds"), "--out", str(out)])
     assert code == 4 and threading.main_thread().name not in threads
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
@@ -758,14 +818,14 @@ def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tm
 
 
 @pytest.mark.parametrize("sample_id", ["repeated", "a\nb"])
-def test_dataset_id_that_a_score_line_cannot_hold_exits_3(workdir, small_checkpoint, tmp_path,
-                                                          capsys, sample_id):
-    doc = json.loads((workdir / "test.json").read_text())
+def test_dataset_id_that_a_score_line_cannot_hold_exits_3(workdir, small_checkpoint,
+                                                          change_header, tmp_path, capsys,
+                                                          sample_id):
     if sample_id == "repeated":
-        sample_id = doc["samples"][0]["id"]
-    doc["samples"][1]["id"] = sample_id
-    data = tmp_path / "data.json"
-    data.write_text(json.dumps(doc))
+        sample_id = load_dataset(str(workdir / "test.skds")).sequences[0].id
+    data = tmp_path / "data.skds"
+    change_header(workdir / "test.skds", data,
+                  lambda doc: doc["samples"][1].update(id=sample_id))
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(small_checkpoint), "--data", str(data),
                  "--out", str(out)]) == 3
@@ -777,12 +837,24 @@ def test_dataset_id_that_a_score_line_cannot_hold_exits_3(workdir, small_checkpo
 
 @pytest.mark.parametrize("split", ["a,b", "a\nb", " test"])
 def test_synth_split_that_a_score_line_cannot_hold_exits_2(tmp_path, capsys, split):
-    out = tmp_path / "d.json"
+    out = tmp_path / "d.skds"
     assert main(["synth", "--classes", "2", "--per-class", "1", "--frames", "4",
                  "--topology", "uwa15", "--split", split, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: sample {split + '-00-000'!r}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_synth_noise_that_is_negative_or_not_finite_exits_2(tmp_path, capsys, noise):
+    argv = ["synth", "--classes", "2", "--per-class", "1", "--frames", "4",
+            "--topology", "uwa15", "--out", str(tmp_path / "d.skds")]
+    assert main(argv + ["--noise", noise]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: noise must be a finite non-negative number, not {float(noise)}\n")
+    assert not (tmp_path / "d.skds").exists()
+    assert main(argv + ["--noise", "0"]) == 0
 
 
 def test_readme_commands_parse(capsys):
@@ -808,7 +880,7 @@ def test_non_positive_count_exits_2_naming_the_flag(workdir, small_checkpoint, t
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, "--checkpoint", str(small_checkpoint),
-              "--data", str(workdir / "test.json"), "--out", str(out), flag, value])
+              "--data", str(workdir / "test.skds"), "--out", str(out), flag, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"argument {flag}: invalid positive_int value" \
@@ -822,7 +894,7 @@ def test_eval_summary_reports_rate_and_eval_block(workdir, small_checkpoint, tmp
     block, threads = model.eval_block, model.eval_threads(6)
     out = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(small_checkpoint),
-                 "--data", str(workdir / "test.json"), "--out", str(out)]) == 0
+                 "--data", str(workdir / "test.skds"), "--out", str(out)]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert re.fullmatch(rf"accuracy \d\.\d{{4}} over 6 samples -> {re.escape(str(out))} "
                         rf"\(\d+\.\d samples/s, eval block {block} on {threads} threads?\)",
@@ -846,7 +918,7 @@ def test_dump_attention_is_the_same_in_blocks(workdir, small_checkpoint, tmp_pat
         out = tmp_path / f"attn{budget}"
         calls.clear()
         assert main(["dump-attention", "--checkpoint", str(small_checkpoint),
-                     "--data", str(workdir / "test.json"), "--limit", "5",
+                     "--data", str(workdir / "test.skds"), "--limit", "5",
                      "--out", str(out)]) == 0
         assert calls == [5]  # one forward over every sample, which blocks inside
         last = capsys.readouterr().out.strip().splitlines()[-1]
@@ -869,7 +941,7 @@ def test_fuse_rejects_a_non_finite_weight_before_writing(workdir, small_checkpoi
                                                          capsys, weights):
     scores = tmp_path / "scores.csv"
     assert main(["eval", "--checkpoint", str(small_checkpoint),
-                 "--data", str(workdir / "test.json"), "--out", str(scores)]) == 0
+                 "--data", str(workdir / "test.skds"), "--out", str(scores)]) == 0
     capsys.readouterr()
     fused = tmp_path / "fused.csv"
     assert main(["fuse", "--scores", str(scores), str(scores), "--weights", weights,
@@ -895,18 +967,18 @@ def test_fuse_rejects_an_overflowing_sum_before_writing(tmp_path, capsys, scores
 def _unlike(workdir, tmp_path, case):
     """The uwa15 3-class test set with one more class, with the joint count of uwa15
     but other bones, or as an ntu25 dataset."""
-    doc = json.loads((workdir / "test.json").read_text())
+    ds = load_dataset(str(workdir / "test.skds"))
     if case == "classes":
-        doc["classes"].append("extra")
+        ds.classes.append("extra")
     elif case == "edges":
-        doc["topology"] = {"name": "uwa15", "node_count": 15,
-                           "edges": [[j, j + 1] for j in range(1, 15)]}
+        ds.topology = {"name": "uwa15", "node_count": 15,
+                       "edges": [[j, j + 1] for j in range(1, 15)]}
     else:
-        doc["topology"] = "ntu25"
-        for sample in doc["samples"]:
-            sample["frames"] = np.zeros((8, 25, 3)).tolist()
-    data = tmp_path / "data.json"
-    data.write_text(json.dumps(doc))
+        ds.topology = "ntu25"
+        for seq in ds.sequences:
+            seq.frames = np.zeros((8, 25, 3))
+    data = tmp_path / "data.skds"
+    save_dataset(ds, str(data))
     return data
 
 
@@ -930,7 +1002,7 @@ def test_eval_set_unlike_the_training_set_exits_2_before_the_config_line(workdir
                                                                          capsys, case):
     data = _unlike(workdir, tmp_path, case)
     out = tmp_path / "run"
-    assert main(["train", "--data", str(workdir / "train.json"), "--eval", str(data),
+    assert main(["train", "--data", str(workdir / "train.skds"), "--eval", str(data),
                  "--out", str(out)] + FAST_TRAIN) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -943,22 +1015,24 @@ DEEP = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.mark.parametrize("kind", ["dataset", "config", "checkpoint"])
-def test_deeply_nested_json_exits_3(workdir, small_checkpoint, topology_checkpoint, tmp_path,
-                                    capsys, kind):
+def test_deeply_nested_json_exits_3(workdir, small_checkpoint, topology_checkpoint,
+                                    rewrite_header, tmp_path, capsys, kind):
     path = tmp_path / "deep"
     if kind == "checkpoint":
         blob = DEEP.encode("utf-8")
         magic, _, blobs = topology_checkpoint
         path.write_bytes(magic + struct.pack("<Q", len(blob)) + blob + blobs)
+    elif kind == "dataset":
+        rewrite_header(workdir / "train.skds", path, lambda _: DEEP)
     else:
         path.write_text(DEEP)
-    test, run = str(workdir / "test.json"), str(tmp_path / "run")
+    test, run = str(workdir / "test.skds"), str(tmp_path / "run")
     argvs = {
         "dataset": [["train", "--data", str(path), "--out", run] + FAST_TRAIN,
                     ["eval", "--checkpoint", str(small_checkpoint), "--data", str(path),
                      "--out", run]],
         "config": [["flops", "--config", str(path)],
-                   ["train", "--data", str(workdir / "train.json"), "--config", str(path),
+                   ["train", "--data", str(workdir / "train.skds"), "--config", str(path),
                     "--out", run] + FAST_TRAIN],
         "checkpoint": [[command, "--checkpoint", str(path), "--data", test, "--out", run]
                        for command in ("eval", "dump-attention")],

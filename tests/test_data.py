@@ -1,8 +1,8 @@
 """Dataset files, synthetic generation, resampling, streams, score fusion."""
 
-import io
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,104 +15,100 @@ from skelpool.data import (Dataset, LabeledSequence, ScoreFile, apply_stream,
 from skelpool.skeleton import builtin_topology, topology_doc
 
 
+def _saved(tmp_path, ids=("s",)):
+    """A saved uwa15 dataset of 2-frame zero-coordinate samples with these ids."""
+    path = tmp_path / "data.skds"
+    save_dataset(Dataset("uwa15", ["a", "b"], "train", [
+        LabeledSequence(np.zeros((2, 15, 3)), 0, i) for i in ids]), str(path))
+    return path
+
+
 class TestDatasetIO:
     def test_round_trip_is_bitwise_on_coordinates(self, tmp_path):
         ds = synth_generate(3, 2, 10, "uwa15", noise=0.02, seed=1)
-        path = tmp_path / "d.json"
+        path = tmp_path / "data.json"  # the benchmark's name: the format ignores it
         save_dataset(ds, str(path))
         back = load_dataset(str(path))
         assert back.classes == ds.classes and back.topology == ds.topology
         for a, b in zip(ds.sequences, back.sequences):
             assert a.id == b.id and a.label == b.label
-            assert np.array_equal(a.frames, b.frames)
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert b.frames.dtype == np.float64 and b.frames.flags.writeable
 
-    def test_file_bytes_equal_streamed_json_dump(self, tmp_path):
-        ds = synth_generate(3, 2, 10, "uwa15", noise=0.02, seed=1)
-        path = tmp_path / "d.json"
-        save_dataset(ds, str(path))
-        streamed = io.StringIO()
-        json.dump({"topology": ds.topology, "classes": ds.classes, "split": ds.split,
-                   "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
-                               for s in ds.sequences]}, streamed)
-        assert path.read_bytes() == streamed.getvalue().encode()
-
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_file_bytes_equal_json_dumps_of_the_document(self, tmp_path, count):
+    def test_file_bytes_are_the_container_layout(self, tmp_path):
         ds = synth_generate(3, 1, 6, "uwa15", noise=0.02, seed=2)
+        short = LabeledSequence(resample_frames(ds.sequences[0], 4).frames, 1, "short")
         ds = Dataset(topology_doc(builtin_topology("uwa15")), ds.classes, "test",
-                     ds.sequences[:count])
-        path = tmp_path / "d.json"
+                     ds.sequences + [short])
+        path = tmp_path / "d.skds"
         save_dataset(ds, str(path))
-        doc = {"topology": ds.topology, "classes": ds.classes, "split": ds.split,
-               "samples": [{"id": s.id, "label": s.label, "frames": s.frames.tolist()}
-                           for s in ds.sequences]}
-        assert path.read_bytes() == json.dumps(doc).encode()
+        header = json.dumps({"classes": ds.classes, "samples": [
+            {"frames": len(s.frames), "id": s.id, "label": s.label} for s in ds.sequences],
+            "split": "test", "topology": ds.topology}, sort_keys=True).encode()
+        coords = b"".join(s.frames.astype("<f8").tobytes() for s in ds.sequences)
+        assert path.read_bytes() == (b"SKDS" + struct.pack("<IQ", 1, len(header)) + header
+                                     + coords)
 
-    def test_empty_dataset_rejected(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
-                                    "split": "train", "samples": []}))
+    def test_empty_dataset_rejected(self, tmp_path, change_header):
+        with pytest.raises(ValueError, match="empty dataset"):
+            save_dataset(Dataset("uwa15", ["a", "b"], "train", []),
+                         str(tmp_path / "empty.skds"))
+        path = _saved(tmp_path)
+        change_header(path, path, lambda doc: doc.update(samples=[]))
         with pytest.raises(ValueError, match="empty dataset"):
             load_dataset(str(path))
 
-    def test_unknown_topology_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"topology": "mars9", "classes": ["a", "b"],
-                                    "samples": [{"id": "s", "label": 0,
-                                                 "frames": [[[0, 0, 0]]]}]}))
+    def test_unknown_topology_rejected(self, tmp_path, change_header):
+        path = _saved(tmp_path)
+        change_header(path, path, lambda doc: doc.update(topology="mars9"))
         with pytest.raises(ValueError, match="unknown topology"):
             load_dataset(str(path))
 
-    def test_ragged_node_count_rejected(self, tmp_path):
-        frames = np.zeros((2, 3, 3)).tolist()  # uwa15 needs 15 joints
-        path = tmp_path / "ragged.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
-                                    "samples": [{"id": "s", "label": 0,
-                                                 "frames": frames}]}))
+    def test_ragged_node_count_rejected(self, tmp_path, change_header):
+        ragged = LabeledSequence(np.zeros((2, 3, 3)), 0, "s")  # uwa15 needs 15 joints
         with pytest.raises(ValueError, match="joints"):
+            save_dataset(Dataset("uwa15", ["a", "b"], "train", [ragged]),
+                         str(tmp_path / "ragged.skds"))
+        path = _saved(tmp_path)  # 15 joints, read as ntu25's 25
+        change_header(path, path, lambda doc: doc.update(topology="ntu25"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated dataset")):
             load_dataset(str(path))
 
-    def test_bad_label_rejected(self, tmp_path):
-        frames = np.zeros((2, 15, 3)).tolist()
-        path = tmp_path / "lbl.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
-                                    "samples": [{"id": "s", "label": 5,
-                                                 "frames": frames}]}))
+    def test_bad_label_rejected(self, tmp_path, change_header):
+        path = _saved(tmp_path)
+        change_header(path, path, lambda doc: doc["samples"][0].update(label=5))
         with pytest.raises(ValueError, match="label"):
             load_dataset(str(path))
 
-    @pytest.mark.parametrize("coordinate", ["0.5", True, False, None],
-                             ids=["string", "true", "false", "null"])
-    def test_a_coordinate_that_is_not_a_number_is_rejected(self, tmp_path, coordinate):
-        frames = np.zeros((2, 15, 3)).tolist()
-        frames[1][4][2] = coordinate  # one among 89 floats
-        path = tmp_path / "coords.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
-                                    "samples": [{"id": "s", "label": 0, "frames": frames}]}))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: sample 0 field 'frames' must "
-                                                       "be an array of numbers")):
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_a_frame_count_below_one_is_rejected(self, tmp_path, change_header, count):
+        path = _saved(tmp_path)
+        change_header(path, path, lambda doc: doc["samples"][0].update(frames=count))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: sample 0 field 'frames' must be a positive integer, not {count}")):
             load_dataset(str(path))
 
     @pytest.mark.parametrize("ids, bad", [
-        (["s", "s"], "s"), ([1, "1"], "1"), (["s", "a,b"], "a,b"), (["s", "a\nb"], "a\nb"),
+        (["s", "s"], "s"), (["s", "a,b"], "a,b"), (["s", "a\nb"], "a\nb"),
         (["s", "a\rb"], "a\rb"), (["s", " a"], " a"), (["s", "a\t"], "a\t")],
-        ids=["repeated", "repeated-as-text", "comma", "newline", "return", "leading-space",
-             "trailing-tab"])
-    def test_an_id_that_a_score_line_cannot_hold_is_rejected(self, tmp_path, ids, bad):
-        frames = np.zeros((2, 15, 3)).tolist()
-        path = tmp_path / "ids.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"], "samples": [
-            {"id": i, "label": 0, "frames": frames} for i in ids]}))
+        ids=["repeated", "comma", "newline", "return", "leading-space", "trailing-tab"])
+    def test_an_id_that_a_score_line_cannot_hold_is_rejected(self, tmp_path, change_header,
+                                                             ids, bad):
+        with pytest.raises(ValueError, match=re.escape(f"sample {bad!r}: ")):
+            save_dataset(Dataset("uwa15", ["a", "b"], "train", [
+                LabeledSequence(np.zeros((2, 15, 3)), 0, i) for i in ids]), str(tmp_path / "x"))
+        path = _saved(tmp_path, ids=[f"id{i}" for i in range(len(ids))])
+        change_header(path, path, lambda doc: [
+            sample.update(id=i) for sample, i in zip(doc["samples"], ids)])
         with pytest.raises(ValueError, match=re.escape(f"{path}: sample {bad!r}: ")):
             load_dataset(str(path))
 
-    def test_integer_coordinates_load_as_floats(self, tmp_path):
-        frames = np.ones((2, 15, 3), dtype=int).tolist()
-        path = tmp_path / "ints.json"
-        path.write_text(json.dumps({"topology": "uwa15", "classes": ["a", "b"],
-                                    "samples": [{"id": "s", "label": 0, "frames": frames}]}))
-        loaded = load_dataset(str(path)).sequences[0].frames
-        assert loaded.dtype == np.float64 and (loaded == 1.0).all()
+    def test_an_integer_id_is_rejected(self, tmp_path, change_header):
+        path = _saved(tmp_path, ids=["s", "t"])
+        change_header(path, path, lambda doc: doc["samples"][0].update(id=1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: sample 0 field 'id' must be a string, not 1")):
+            load_dataset(str(path))
 
 
 class TestSynthGenerate:

@@ -19,9 +19,12 @@ From each run it reads the JSON last line of its output and its record under
   of the unit time or of the `Model.forward` time (the harness then prints
   "WARNING: below"): such per-layer times must not be compared with others;
 - `env`: the environment block of the first run (Python, numpy, BLAS, cores);
-- `runs`: per run, the 1, 5 and 15 minute load averages before it and
-  `busy`, the harness's flag for a run that started with a load average above
-  the core count.
+- `runs`: per run, the 1, 5 and 15 minute load averages before it,
+  `idle_before`, the idle share of all cores over the second before it (from
+  `/proc/stat`; null where that file is absent), and `busy`: true when
+  `idle_before` is below 0.9 or the harness flagged the run, which it does
+  only when the load average before it is above the core count, so a
+  neighbour using a whole core of two would go unflagged.
 
 A run that fails, or reports a failed check, ends the recorder with exit code
 1 before anything is written. Nothing else should run on the machine meanwhile.
@@ -34,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -45,6 +49,8 @@ SEED = 1  # one seed for every record, so that records compare
 # cover for their per-layer times to mean anything: `ATTRIBUTED` of
 # perfbench/harness.py.
 ATTRIBUTED = 0.95
+# A run is busy when the cores were idle less than this share of the second before it.
+IDLE = 0.9
 
 
 def spread(values: list[float]) -> dict:
@@ -61,11 +67,33 @@ def attributed(per_layer: dict) -> bool:
     return unit >= ATTRIBUTED and not 0 < forward < ATTRIBUTED
 
 
+def _cpu_times() -> tuple[int, int] | None:
+    """(idle, total) clock ticks of all cores since boot, from the first line of
+    /proc/stat (idle and iowait count as idle), or None where it is absent."""
+    try:
+        with open("/proc/stat") as fh:
+            ticks = [int(v) for v in fh.readline().split()[1:9]]
+    except OSError:
+        return None
+    return ticks[3] + ticks[4], sum(ticks)
+
+
+def idle_share(seconds: float = 1.0) -> float | None:
+    """The idle share of all cores over the next `seconds`, or None where
+    /proc/stat is absent."""
+    before = _cpu_times()
+    time.sleep(seconds)
+    after = _cpu_times()
+    if before is None or after is None or after[1] == before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def summarize(untraced: list[dict], traced: dict) -> dict:
     """One workload's entry from its run records: `spread` of each end-to-end
     metric over the untraced runs, the traced run's per-layer metrics with
     whether they are `attributed` (`per_layer_comparable`), and each run's load
-    averages and busy flag."""
+    averages, idle share and busy flag."""
     metrics = untraced[0]["summary"]["metrics"]
     per_layer = traced["summary"]["metrics"]
     return {
@@ -76,7 +104,10 @@ def summarize(untraced: list[dict], traced: dict) -> dict:
         "per_layer": per_layer,
         "per_layer_comparable": attributed(per_layer),
         "runs": [{"trace": r["trace"], "load_before": r["load_before"],
-                  "busy": r["busy_start"]} for r in untraced + [traced]],
+                  "idle_before": r["idle_before"],
+                  "busy": r["busy_start"] or (r["idle_before"] is not None
+                                              and r["idle_before"] < IDLE)}
+                 for r in untraced + [traced]],
     }
 
 
@@ -84,6 +115,7 @@ def _run(workload: str, seconds: float, trace: int, toy: bool) -> dict:
     """The record of one run of `perfbench/run.py`, with its summary line."""
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)] + (["--toy"] if toy else [])
+    idle = idle_share()
     proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -95,7 +127,7 @@ def _run(workload: str, seconds: float, trace: int, toy: bool) -> dict:
     name = f"{workload}-seed{SEED}-trace{trace}" + ("-toy" if toy else "")
     with open(os.path.join(RECORDS, name + ".json")) as fh:
         record = json.load(fh)
-    return {**record, "summary": summary}
+    return {**record, "summary": summary, "idle_before": idle}
 
 
 def main(argv=None) -> int:
