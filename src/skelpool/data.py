@@ -65,9 +65,11 @@ def _validate(ds: Dataset, topology: SkeletonTopology) -> None:
             raise ValueError(f"sample '{seq.id}': no frames")
         if not np.isfinite(seq.frames).all():
             raise ValueError(f"sample '{seq.id}': non-finite coordinates")
-        if not 0 <= seq.label < ds.class_count:
-            raise ValueError(f"sample '{seq.id}': label {seq.label} outside "
-                             f"0..{ds.class_count - 1}")
+        label = seq.label  # a bool or a float would not read back as an integer
+        if (isinstance(label, bool) or not isinstance(label, (int, np.integer))
+                or not 0 <= label < ds.class_count):
+            raise ValueError(f"sample '{seq.id}': label {label!r} is not an integer "
+                             f"in 0..{ds.class_count - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
     ValueError and write nothing."""
     _validate(ds, load_topology(ds.topology)[0])
     header = {"topology": ds.topology, "classes": ds.classes, "split": ds.split,
-              "samples": [{"id": s.id, "label": s.label, "frames": len(s.frames)}
+              "samples": [{"id": s.id, "label": int(s.label), "frames": len(s.frames)}
                           for s in ds.sequences]}
     write_container(path, _DATASET_MAGIC, header,
                     (s.frames.astype("<f8", copy=False) for s in ds.sequences))

@@ -20,7 +20,7 @@ import ctypes
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -145,10 +145,10 @@ def _blas_threads() -> int | None:
 
 
 def _eval_workers() -> int:
-    """The most threads that score the blocks of one eval forward: one per core
-    this process may run on when BLAS runs each call on one thread, else one.
-    A multi-threaded BLAS already spreads each call over the cores, and a thread
-    per block on top of it halved the eval rate (see CHANGES.md)."""
+    """The most threads, the caller's included, that score the blocks of one eval
+    forward: one per core this process may run on when BLAS runs each call on one
+    thread, else one. A multi-threaded BLAS already spreads each call over the
+    cores, and a thread per block on top of it halved the eval rate (see CHANGES.md)."""
     if _blas_threads() != 1:
         return 1
     try:
@@ -157,46 +157,43 @@ def _eval_workers() -> int:
         return os.cpu_count() or 1
 
 
-_POOL: ThreadPoolExecutor | None = None  # built by the first eval forward of >= 2 blocks
-
-
-def _eval_pool() -> ThreadPoolExecutor:
-    """The threads that score eval blocks, `_eval_workers()` of them.
-
-    Building it limits glibc's malloc to one arena, for the whole process and
-    for good: an arena per thread keeps the blocks' freed buffers apart and
-    raised an eval's peak memory by a sixth (see CHANGES.md)."""
-    global _POOL
-    if _POOL is None:
-        try:
-            mallopt = ctypes.CDLL(None).mallopt  # glibc only
-            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-            mallopt(-8, 1)  # M_ARENA_MAX
-        except (AttributeError, OSError, TypeError):
-            pass
-        _POOL = ThreadPoolExecutor(_eval_workers(), thread_name_prefix="skelpool-eval")
-    return _POOL
-
-
 def _in_blocks(run, count: int, threads: int) -> list:
-    """[run(0), ..., run(count - 1)], on `threads` pool threads when more than
-    one, which take the indices in order.
-
-    Each pool thread runs under the caller's numpy error state and block path.
-    Every block runs; once all have stopped, the exception of the lowest-numbered
-    failed block is raised, the one a serial loop would have raised.
-    """
+    """[run(0), ..., run(count - 1)]. With more than one thread, the calling thread
+    and `threads - 1` helpers that end before this returns take the indices in
+    order, each helper under the caller's numpy error state and block path. A
+    thread whose block raises takes no more; once all have stopped, the
+    lowest-numbered failed block's exception is raised, as a serial loop would."""
     if threads == 1:
         return [run(i) for i in range(count)]
     err, path = np.geterr(), block_path()
+    todo, lock, results, failed = iter(range(count)), threading.Lock(), [None] * count, []
 
-    def in_ctx(i: int):
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = run(i)
+            except BaseException as exc:
+                failed.append((i, exc))
+                return
+
+    def helper() -> None:
         with np.errstate(**err), scope(path) if path else contextlib.nullcontext():
-            return run(i)
+            drain()
 
-    futures = [_eval_pool().submit(in_ctx, i) for i in range(count)]
-    wait(futures)
-    return [f.result() for f in futures]
+    helpers = [threading.Thread(target=helper, name="skelpool-eval", daemon=True)
+               for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    drain()
+    for t in helpers:
+        t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
 
 
 def _stage_widths(config: ModelConfig) -> list[tuple[int, int]]:
@@ -317,10 +314,10 @@ class Model:
         samples are independent, so the batch runs through `logits` in blocks
         of near-equal size, at most `eval_block` samples each, on
         `eval_threads` threads, and the logits and correlation fields are
-        concatenated in block order. A training forward, or one that records,
-        runs the whole batch at once on the calling thread. The first forward
-        on more than one thread limits glibc's malloc to one arena for the
-        whole process (`_eval_pool`).
+        concatenated in block order. The calling thread scores blocks too, and
+        the helper threads of `_in_blocks` end before this returns. A training
+        forward, or one that records, runs the whole batch at once on the
+        calling thread.
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x), dtype=self.dtype)

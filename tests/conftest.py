@@ -18,19 +18,8 @@ def one_blas_thread(monkeypatch):
 @pytest.fixture
 def eval_threads(monkeypatch):
     """`eval_threads(n)` makes a blocked eval forward score its blocks on up to n
-    threads, through a pool of its own that is shut down when the test ends."""
-    used = []
-
-    def use(n: int) -> None:
-        if used and M._POOL is not None:
-            M._POOL.shutdown()
-        monkeypatch.setattr(M, "_eval_workers", lambda: n)
-        monkeypatch.setattr(M, "_POOL", None)
-        used.append(n)
-
-    yield use
-    if used and M._POOL is not None:
-        M._POOL.shutdown()
+    threads, the calling thread included."""
+    return lambda n: monkeypatch.setattr(M, "_eval_workers", lambda: n)
 
 
 @pytest.fixture

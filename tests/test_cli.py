@@ -6,6 +6,7 @@ import re
 import shlex
 import struct
 import threading
+import time
 import warnings
 from dataclasses import fields
 
@@ -788,7 +789,7 @@ def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tm
                                                                      capsys, monkeypatch,
                                                                      eval_threads):
     """Each eval thread runs under the caller's numpy error state: the blocks
-    overflow on the pool threads as on the caller's, and none of them warns."""
+    overflow on the helper thread as on the caller's, and none of them warns."""
     model = _checkpoint(tmp_path / "model.ckpt")
     weight = dict(model.named_parameters())["ism.vec_conv2"]
     value = weight.data.copy()
@@ -797,10 +798,13 @@ def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tm
     save_checkpoint(model, str(tmp_path / "model.ckpt"))
     eval_threads(2)
     monkeypatch.setattr(M, "EVAL_BLOCK_BYTES", 2 * model.widest_activation_bytes())
-    logits, threads = M.Model.logits, set()
+    logits, threads = M.Model.logits, []
 
     def spy(self, h, *args, **kwargs):
-        threads.add(threading.current_thread().name)
+        name = threading.current_thread().name
+        if name == threading.main_thread().name and name not in threads:
+            time.sleep(0.2)  # the caller's first block: the helper takes one meanwhile
+        threads.append(name)
         return logits(self, h, *args, **kwargs)
 
     monkeypatch.setattr(M.Model, "logits", spy)
@@ -809,7 +813,7 @@ def test_overflowing_weight_on_two_threads_exits_4_without_a_warning(workdir, tm
         warnings.simplefilter("always")
         code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
                      "--data", str(workdir / "test.skds"), "--out", str(out)])
-    assert code == 4 and threading.main_thread().name not in threads
+    assert code == 4 and "skelpool-eval" in threads
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite values produced by "

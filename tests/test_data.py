@@ -80,6 +80,23 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="label"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("label", [True, 1.0], ids=["bool", "float"])
+    def test_a_label_that_is_not_an_integer_is_rejected_before_writing(self, tmp_path,
+                                                                       label):
+        path = tmp_path / "data.skds"
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample 's': label {label!r} is not an integer in 0..1")):
+            save_dataset(Dataset("uwa15", ["a", "b"], "train", [
+                LabeledSequence(np.zeros((2, 15, 3)), label, "s")]), str(path))
+        assert not path.exists()
+
+    def test_a_numpy_integer_label_reads_back_as_an_int(self, tmp_path):
+        path = tmp_path / "data.skds"
+        save_dataset(Dataset("uwa15", ["a", "b"], "train", [
+            LabeledSequence(np.zeros((2, 15, 3)), np.int64(1), "s")]), str(path))
+        label = load_dataset(str(path)).sequences[0].label
+        assert type(label) is int and label == 1
+
     @pytest.mark.parametrize("count", [0, -2])
     def test_a_frame_count_below_one_is_rejected(self, tmp_path, change_header, count):
         path = _saved(tmp_path)

@@ -349,8 +349,9 @@ class TestBlockedEval:
             for threads in (1, 3):
                 eval_threads(threads)
                 corr: list = []
+                before = threading.active_count()
                 got.append((model.forward(x, corr_out=corr).data, corr))
-                assert (M._POOL is None) == (threads == 1)  # one thread builds no pool
+                assert threading.active_count() == before  # no thread outlives a forward
         finally:
             sys.setswitchinterval(switch)
         (serial, serial_corr), (threaded, threaded_corr) = got
@@ -416,41 +417,62 @@ def test_eval_blocks_follow_the_blas_threads(monkeypatch, blas):
     assert model.eval_block == (blas or 1) * M.EVAL_BLOCK_BYTES // 409600
 
 
-NO_POOL_PROBE = """
+NO_THREAD_PROBE = """
 import threading
+import time
 import numpy as np
 from skelpool import model as M
 from skelpool.data import synth_generate
+from skelpool.tensor import NonFiniteError
 from skelpool.train import TrainConfig, train_loop
 
-def no_pool(step):
-    assert M._POOL is None and threading.active_count() == 1, step
+def one_thread(step):
+    assert threading.active_count() == 1, (step, threading.enumerate())
 
-no_pool("import")
+one_thread("import")
 ds = synth_generate(3, 2, 8, "uwa15", noise=0.01, seed=0, split="train")
 model = M.build_model(M.ModelConfig(topology="uwa15", classes=3, frames=8,
                                     channels=(4, 8, 8), ism_channels=4), seed=0)
-no_pool("build_model")
+one_thread("build_model")
 train_loop(model, ds, TrainConfig(epochs=1, warmup=1, decay_steps=(), batch_size=3,
                                   augment=False))
-no_pool("train_loop")
-x = np.zeros((1, 3, 8, 15))
-model.forward(x)
-no_pool("batch-1 forward")
+one_thread("train_loop")
+model.forward(np.zeros((1, 3, 8, 15)))
+one_thread("batch-1 forward")
 M.EVAL_BLOCK_BYTES = model.widest_activation_bytes()
+logits, names = M.Model.logits, set()
+
+def spy(self, h, *args):
+    names.add(threading.current_thread().name)
+    time.sleep(0.1)  # no thread scores all four blocks before another takes one
+    return logits(self, h, *args)
+
+M.Model.logits = spy
 model.forward(np.zeros((4, 3, 8, 15)))
-assert (M._POOL is not None) == (M._eval_workers() > 1), "a forward of 4 blocks"
+one_thread("a forward of 4 blocks")
+assert (len(names) > 1) == (M._eval_workers() > 1), names
+x = np.zeros((4, 3, 8, 15))
+x[3, 0, 0, 0] = np.inf
+try:
+    with np.errstate(all="ignore"):
+        model.forward(x)
+except NonFiniteError:
+    pass
+else:
+    raise AssertionError("no NonFiniteError")
+one_thread("a forward of 4 blocks that raises")
 print("ok")
 """
 
 
-def test_no_eval_pool_before_a_forward_of_two_blocks():
-    """Import, `build_model`, a training epoch and a batch-1 forward start no
-    thread; a forward of several blocks then builds the pool (given two cores)."""
+def test_no_thread_outlives_a_call():
+    """Import, `build_model`, a training epoch and eval forwards of one and of
+    four blocks, one of which raises, leave only the main thread; a forward of
+    four blocks runs on more than one thread given two cores."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", NO_POOL_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_THREAD_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
