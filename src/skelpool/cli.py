@@ -166,6 +166,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.model_seed < 0:
+        raise CliError(2, f"--model-seed must be >= 0, not {args.model_seed}")
     if args.frames is not None and args.half_frames:
         raise CliError(2, "--half-frames halves the native frame count; "
                           "it cannot be combined with --frames")
@@ -240,6 +242,8 @@ def cmd_flops(args) -> int:
 def cmd_gradcheck(args) -> int:
     dtype = np.float64 if args.precision == "f64" else np.float32
     tol = args.tol if args.tol is not None else (1e-4 if args.precision == "f64" else 1e-2)
+    if not 0 < tol < np.inf:
+        raise CliError(2, f"--tol must be a positive finite number, not {tol}")
     eps = 1e-5 if args.precision == "f64" else 1e-3
     names = set(args.ops.split(",")) if args.ops else None
     _echo_config({"precision": args.precision, "seeds": args.seeds, "tol": tol,

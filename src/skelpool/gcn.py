@@ -86,11 +86,9 @@ class GraphConvParams:
     w_temporal: Parameter  # (c_out, c_out, kernel)
     norm: BatchNorm
     norm_out: BatchNorm
-    stride: int = 1
 
     @classmethod
-    def init(cls, c_in: int, c_out: int, kernel: int = 5, stride: int = 1,
-             rng=None, dtype=np.float32):
+    def init(cls, c_in: int, c_out: int, kernel: int = 5, rng=None, dtype=np.float32):
         if kernel % 2 == 0:
             raise ValueError("temporal kernel must be odd")
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -100,8 +98,7 @@ class GraphConvParams:
                                           fan_in=c_out * kernel, fan_out=c_out * kernel),
                                  dtype=dtype),
             norm=BatchNorm.init(c_out, dtype=dtype),
-            norm_out=BatchNorm.init(c_out, dtype=dtype),
-            stride=stride)
+            norm_out=BatchNorm.init(c_out, dtype=dtype))
 
 
 def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool) -> Tensor:
@@ -113,6 +110,6 @@ def gcn_block(x: Tensor, params: GraphConvParams, adjacency: Tensor, train: bool
     """
     y = spatial_graph_conv(x, params.w_spatial, adjacency)
     y = batch_normalize(y, params.norm, train, rectify=True)
-    y = T.temporal_conv(y, params.w_temporal, stride=params.stride)
+    y = T.temporal_conv(y, params.w_temporal)
     return batch_normalize(y, params.norm_out, train,
                            skip=x if y.shape == x.shape else None, rectify=True)

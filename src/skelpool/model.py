@@ -158,13 +158,12 @@ def _eval_workers() -> int:
 
 
 def _in_blocks(run, count: int, threads: int) -> list:
-    """[run(0), ..., run(count - 1)]. With more than one thread, the calling thread
-    and `threads - 1` helpers that end before this returns take the indices in
-    order, each helper under the caller's numpy error state and block path. A
-    thread whose block raises takes no more; once all have stopped, the
-    lowest-numbered failed block's exception is raised, as a serial loop would."""
-    if threads == 1:
-        return [run(i) for i in range(count)]
+    """[run(0), ..., run(count - 1)]. The calling thread and `threads - 1` helpers
+    that end before this returns take the indices in order, each helper under the
+    caller's numpy error state and block path; with one thread the caller runs
+    them all. A thread whose block raises takes no more; once all have stopped,
+    the lowest-numbered failed block's exception is raised, as a serial loop
+    would."""
     err, path = np.geterr(), block_path()
     todo, lock, results, failed = iter(range(count)), threading.Lock(), [None] * count, []
 

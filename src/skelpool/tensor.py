@@ -551,20 +551,43 @@ def conv1x1(x: Tensor, w: Tensor) -> Tensor:
     return _apply("conv1x1", (x, w), fwd, bwd)
 
 
-def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+def _frames_major(xd: np.ndarray, pad: int) -> np.ndarray:
+    """(b, c, t, n) copied to (c, t + 2*pad, b, n) with `pad` zero frames at each end."""
+    b, c, t, n = xd.shape
+    xp = np.zeros((c, t + 2 * pad, b, n), dtype=xd.dtype)
+    xp[:, pad : pad + t] = xd.transpose(1, 2, 0, 3)
+    return xp
+
+
+def _conv_frames(xd: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """out[t] = sum_i wt[i] @ x[t+i-pad] for x (batch, c_in, frames, nodes) and taps
+    `wt` (k, c_out, c_in): tap i reads frames i .. i+frames-1 of the padded
+    frames-major copy as one matrix view, and the k GEMMs are accumulated in
+    frames-major order and transposed back once."""
+    b, c_in, t, n = xd.shape
+    k, c_out = wt.shape[:2]
+    xp = _frames_major(xd, (k - 1) // 2)
+    wt = np.ascontiguousarray(wt)
+    out = wt[0] @ xp[:, :t].reshape(c_in, -1)
+    part = np.empty_like(out)
+    for i in range(1, k):
+        out += np.matmul(wt[i], xp[:, i : i + t].reshape(c_in, -1), out=part)
+    del xp, part  # free before the transposing copy
+    return np.ascontiguousarray(out.reshape(c_out, t, b, n).transpose(2, 0, 1, 3))
+
+
+def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     """1-D convolution along the frame axis, per node, mixing channels.
 
-    `w` has shape (channels_out, channels_in, k) with k odd; symmetric zero
-    padding of (k-1)/2 keeps ceil(frames/stride) output frames.
+    `w` has shape (channels_out, channels_in, k) with k odd; stride 1 and
+    symmetric zero padding of (k-1)/2 keep the frame count.
 
-    Layout: the input is copied once into a zero-padded frames-major buffer
-    (channels_in, frames + 2*pad, batch, nodes). Tap i reads the frames
-    i, i + stride, ... of that buffer as one (channels_in, out_frames*batch*
-    nodes) matrix: a view for stride 1, a copy of the sliced frames otherwise.
-    The output is k 2-D GEMMs accumulated in frames-major order and
-    transposed back once. The backward mirrors this: the weight gradient of
-    tap i is one GEMM against the tap's matrix, and the input gradient is
-    accumulated tap by tap into a frames-major buffer.
+    One kernel, `_conv_frames`, runs both passes. For stride 1 and "same"
+    padding the input gradient is the same convolution of the output gradient
+    with the taps reversed and the channel axes swapped:
+    gx[t] = sum_i w[:, :, k-1-i].T @ g[t+i-pad]. The weight gradient of tap i
+    is one GEMM of the frames-major output gradient against the tap's view of
+    the padded input.
     """
     if x.ndim != 4 or w.ndim != 3:
         raise ValueError("temporal_conv: expects 4-D input and 3-D weights")
@@ -573,47 +596,20 @@ def temporal_conv(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(f"temporal_conv: weight channels {c_in} != input channels {x.shape[1]}")
     if k % 2 == 0:
         raise ValueError("temporal_conv: kernel size must be odd")
-    if stride < 1:
-        raise ValueError("temporal_conv: stride must be >= 1")
     _same_dtype(x, w)
-    pad = (k - 1) // 2
-    t_in = x.shape[2]
-    t_out = (t_in + 2 * pad - k) // stride + 1
-    taps = [slice(i, i + stride * (t_out - 1) + 1, stride) for i in range(k)]
-
-    def frames_major(xd):
-        b, _, t, n = xd.shape
-        xp = np.zeros((c_in, t + 2 * pad, b, n), dtype=xd.dtype)
-        xp[:, pad : pad + t] = xd.transpose(1, 2, 0, 3)
-        return xp
 
     def fwd(xd, wd):
-        b, n = xd.shape[0], xd.shape[3]
-        xp = frames_major(xd)
-        wt = np.ascontiguousarray(wd.transpose(2, 0, 1))  # (k, c_out, c_in)
-        out = wt[0] @ xp[:, taps[0]].reshape(c_in, -1)
-        part = np.empty_like(out)
-        for i in range(1, k):
-            out += np.matmul(wt[i], xp[:, taps[i]].reshape(c_in, -1), out=part)
-        del xp, part  # free before the transposing copy
-        return np.ascontiguousarray(out.reshape(c_out, t_out, b, n).transpose(2, 0, 1, 3))
+        return _conv_frames(xd, wd.transpose(2, 0, 1))
 
     def bwd(g, ins, out):
         xd, wd = ins
-        b, n = xd.shape[0], xd.shape[3]
         gf = np.ascontiguousarray(g.transpose(1, 2, 0, 3)).reshape(c_out, -1)
-        xp = frames_major(xd)
+        xp = _frames_major(xd, (k - 1) // 2)
         gw = np.empty((k, c_out, c_in), dtype=wd.dtype)
         for i in range(k):
-            np.matmul(gf, xp[:, taps[i]].reshape(c_in, -1).T, out=gw[i])
-        del xp  # buffers are freed as soon as they are used up, to keep the peak low
-        wt = np.ascontiguousarray(wd.transpose(2, 1, 0))  # (k, c_in, c_out)
-        gxp = np.zeros((c_in, t_in + 2 * pad, b, n), dtype=xd.dtype)
-        part = np.empty((c_in, gf.shape[1]), dtype=gf.dtype)
-        for i in range(k):
-            gxp[:, taps[i]] += np.matmul(wt[i], gf, out=part).reshape(c_in, t_out, b, n)
-        del gf, part
-        gx = np.ascontiguousarray(gxp[:, pad : pad + t_in].transpose(2, 0, 1, 3))
+            np.matmul(gf, xp[:, i : i + g.shape[2]].reshape(c_in, -1).T, out=gw[i])
+        del gf, xp  # buffers are freed as soon as they are used up, to keep the peak low
+        gx = _conv_frames(g, wd[:, :, ::-1].transpose(2, 1, 0))
         return gx, np.ascontiguousarray(gw.transpose(1, 2, 0))
 
     return _apply("temporal_conv", (x, w), fwd, bwd)

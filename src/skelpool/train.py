@@ -47,14 +47,16 @@ class TrainConfig:
             raise ValueError("decay steps must satisfy warmup < first and last <= epochs")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError("base_lr must be positive and finite")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay_factor must lie in (0, 1]")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not self.rotate_max >= 0:
-            raise ValueError("rotate_max must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
+        if not 0 <= self.rotate_max < np.inf:
+            raise ValueError("rotate_max must be >= 0 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         return self
 
 

@@ -188,6 +188,14 @@ def test_gradcheck_empty_seed_range_exits_2(capsys):
         assert "max rel err" not in captured.out and "ok" not in captured.out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_gradcheck_tolerance_not_positive_and_finite_exits_2(capsys, tol):
+    assert main(["gradcheck", "--seeds", "1", "--ops", "tanh", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert "max rel err" not in captured.out
+
+
 def test_export_topology_round_trips(tmp_path):
     out = tmp_path / "ntu.json"
     assert main(["export-topology", "--topology", "ntu25", "--out", str(out)]) == 0
@@ -270,13 +278,23 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
                                    ["train", "--decay-factor", "1.5"],
                                    ["train", "--weight-decay", "-1"],
                                    ["train", "--rotate-max", "-1"],
-                                   ["train", "--frames", "4", "--half-frames"]])
+                                   ["train", "--frames", "4", "--half-frames"],
+                                   ["train", "--rotate-max", "inf"],
+                                   ["train", "--lr", "inf"],
+                                   ["train", "--weight-decay", "inf"],
+                                   ["train", "--seed", "-1"],
+                                   ["train", "--model-seed", "-1"]])
 def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
+    out = tmp_path / "run"
     if flags[0] == "train":  # the flag under test comes last, so it overrides FAST_TRAIN
         flags = ["train", "--data", str(workdir / "train.skds"),
-                 "--out", str(tmp_path / "run")] + FAST_TRAIN + flags[1:]
+                 "--out", str(out)] + FAST_TRAIN + flags[1:]
     assert main(flags) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if "--model-seed" in flags:
+        assert "--model-seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, code", [(["--lr", "0"], 2), (["--kernel", "4"], 2),

@@ -95,11 +95,6 @@ class TestTemporalConv:
         out = T.temporal_conv(Tensor(x), Tensor(w)).data.ravel()
         assert np.allclose(out, [0.25, 0.5, 0.25, 0.0])
 
-    def test_stride_two_halves_frames(self):
-        x = rand((1, 2, 8, 3), seed=8)
-        w = rand((2, 2, 5), seed=9)
-        assert T.temporal_conv(x, w, stride=2).shape == (1, 2, 4, 3)
-
 
 class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):

@@ -169,11 +169,10 @@ def test_expand_rejects_non_unit_axes():
 
 
 def test_temporal_conv_frame_contract():
-    # stride s keeps ceil(T/s) frames under symmetric padding
+    # symmetric padding keeps the frame count
     x = Tensor(np.random.default_rng(8).standard_normal((1, 2, 7, 3)))
     w = Tensor(np.random.default_rng(9).standard_normal((4, 2, 3)))
-    assert T.temporal_conv(x, w, stride=1).shape == (1, 4, 7, 3)
-    assert T.temporal_conv(x, w, stride=2).shape == (1, 4, 4, 3)
+    assert T.temporal_conv(x, w).shape == (1, 4, 7, 3)
     with pytest.raises(ValueError, match="odd"):
         T.temporal_conv(x, Tensor(np.zeros((4, 2, 2))))
 
@@ -356,18 +355,17 @@ def test_assign_pool_rejects_non_4d_input_and_mixed_dtypes():
                       Tensor(np.zeros((2, 4, 5, 2), dtype=np.float32)))
 
 
-def _temporal_conv_loop(x, w, r, stride):
+def _temporal_conv_loop(x, w, r):
     """Per-frame reference: output, input gradient and weight gradient."""
     c_out, _, k = w.shape
     pad = (k - 1) // 2
-    t_in = x.shape[2]
-    t_out = (t_in + 2 * pad - k) // stride + 1
-    out = np.zeros((x.shape[0], c_out, t_out, x.shape[3]))
+    frames = x.shape[2]
+    out = np.zeros((x.shape[0], c_out, frames, x.shape[3]))
     gx, gw = np.zeros(x.shape), np.zeros(w.shape)
-    for t in range(t_out):
+    for t in range(frames):
         for i in range(k):
-            f = t * stride + i - pad
-            if 0 <= f < t_in:
+            f = t + i - pad
+            if 0 <= f < frames:
                 out[:, :, t] += np.einsum("oc,bcn->bon", w[:, :, i], x[:, :, f])
                 gx[:, :, f] += np.einsum("oc,bon->bcn", w[:, :, i], r[:, :, t])
                 gw[:, :, i] += np.einsum("bon,bcn->oc", r[:, :, t], x[:, :, f])
@@ -375,18 +373,16 @@ def _temporal_conv_loop(x, w, r, stride):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("k,stride,frames", [(1, 1, 6), (3, 1, 7), (5, 1, 9), (1, 2, 6),
-                                             (3, 2, 7), (5, 2, 9), (5, 1, 2), (5, 2, 3)])
-def test_temporal_conv_matches_per_frame_loop(dtype, k, stride, frames):
+@pytest.mark.parametrize("k,frames", [(1, 6), (3, 7), (5, 9), (5, 2), (7, 3), (3, 1)])
+def test_temporal_conv_matches_per_frame_loop(dtype, k, frames):
     rng = np.random.default_rng(22)
     x = Tensor(rng.standard_normal((2, 3, frames, 4)).astype(dtype))
     w = Tensor(rng.standard_normal((5, 3, k)).astype(dtype))
-    out, r, (gx, gw) = _fwd_and_grads(lambda a, b: T.temporal_conv(a, b, stride=stride),
-                                      [x, w], seed=23)
+    out, r, (gx, gw) = _fwd_and_grads(T.temporal_conv, [x, w], seed=23)
     want, want_gx, want_gw = _temporal_conv_loop(x.data.astype(np.float64),
                                                  w.data.astype(np.float64),
-                                                 r.astype(np.float64), stride)
-    assert out.shape == want.shape == (2, 5, -(-frames // stride), 4)
+                                                 r.astype(np.float64))
+    assert out.shape == want.shape == (2, 5, frames, 4)
     np.testing.assert_allclose(out, want, **_tol(dtype))
     np.testing.assert_allclose(gx, want_gx, **_tol(dtype))
     np.testing.assert_allclose(gw, want_gw, **_tol(dtype))
