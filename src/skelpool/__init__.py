@@ -11,13 +11,13 @@ from .pooling import PoolingParams, correlation, spatial_pool, st_pool
 from .skeleton import (PartitionScheme, SkeletonTopology, build_assignment,
                        builtin_partition, builtin_topology, coarsen_adjacency,
                        load_topology, normalized_adjacency)
-from .tensor import (GradientSet, NonFiniteError, Parameter, Tape, Tensor,
-                     concat_channels, cross_entropy, gradients, verify_replay)
+from .tensor import (NonFiniteError, Parameter, Tape, Tensor, concat_channels,
+                     cross_entropy, gradients, verify_replay)
 from .train import (TrainConfig, evaluate, lr_at, random_rotate, sgd_nesterov_step,
                     train_loop)
 
 __all__ = [
-    "Dataset", "FlopsReport", "GradientSet", "LabeledSequence", "Model",
+    "Dataset", "FlopsReport", "LabeledSequence", "Model",
     "ModelConfig", "NonFiniteError", "Parameter", "PartitionScheme",
     "PoolingParams", "ScoreFile", "SkeletonTopology", "Tape", "Tensor",
     "TrainConfig", "build_assignment", "build_model",

@@ -249,6 +249,8 @@ def synth_generate(classes: int, per_class: int, frames: int,
         raise ValueError("need at least two classes")
     if not 0 <= noise < np.inf:
         raise ValueError(f"noise must be a finite non-negative number, not {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     topo, _ = load_topology(topology)
     rest = rest_pose(topo)
     rng = np.random.default_rng(seed)

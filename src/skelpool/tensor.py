@@ -624,18 +624,15 @@ def pair_avg_time(x: Tensor) -> Tensor:
     odd = t_in % 2 == 1
 
     def fwd(xd):
-        even = xd[:, :, 0 : 2 * pairs : 2, :]
-        out = 0.5 * (even + xd[:, :, 1 : 2 * pairs : 2, :]) if pairs else \
-            np.zeros(xd.shape[:2] + (0,) + xd.shape[3:], dtype=xd.dtype)
+        out = 0.5 * (xd[:, :, 0 : 2 * pairs : 2, :] + xd[:, :, 1 : 2 * pairs : 2, :])
         if odd:
             out = np.concatenate([out, xd[:, :, -1:, :]], axis=2)
         return np.ascontiguousarray(out)
 
     def bwd(g, ins, out):
         gx = np.zeros_like(ins[0])
-        if pairs:
-            gx[:, :, 0 : 2 * pairs : 2, :] = 0.5 * g[:, :, :pairs, :]
-            gx[:, :, 1 : 2 * pairs : 2, :] = 0.5 * g[:, :, :pairs, :]
+        gx[:, :, 0 : 2 * pairs : 2, :] = 0.5 * g[:, :, :pairs, :]
+        gx[:, :, 1 : 2 * pairs : 2, :] = 0.5 * g[:, :, :pairs, :]
         if odd:
             gx[:, :, -1, :] += g[:, :, -1, :]
         return (gx,)
@@ -781,34 +778,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # gradient evaluation and replay
 
 
-class GradientSet:
-    """Gradients of one scalar output with respect to requested leaves.
-
-    `unreached` lists leaves that did not contribute to the output; their
-    gradients are present and zero.
-    """
-
-    def __init__(self, pairs: list[tuple[Tensor, Tensor]], unreached: list[Tensor]):
-        self._by_id = {id(leaf): grad for leaf, grad in pairs}
-        self.pairs = pairs
-        self.unreached = unreached
-
-    def __getitem__(self, leaf: Tensor) -> Tensor:
-        return self._by_id[id(leaf)]
-
-    def __contains__(self, leaf: Tensor) -> bool:
-        return id(leaf) in self._by_id
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientSet:
+def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> list[Tensor]:
     """Reverse-accumulate d(output)/d(leaf) over a recorded tape, consuming it.
 
-    `output` must be scalar. Forward values are left untouched. A leaf the
-    output does not depend on gets a zero gradient and is flagged in
-    `GradientSet.unreached`.
+    Returns one gradient per leaf, in the order of `leaves`. `output` must be
+    scalar. Forward values are left untouched. A leaf the output does not
+    depend on gets a zero gradient.
 
     Each entry drops its inputs, output and closures as soon as the sweep has
     passed it, so an activation is freed once the last backward that reads it
@@ -856,16 +831,15 @@ def gradients(tape: Tape, output: Tensor, leaves: Iterable[Tensor]) -> GradientS
                 if isinstance(acc, np.ndarray):  # a 0-d sum is a numpy scalar
                     owned.add(id(t))
 
-    pairs, unreached = [], []
+    result = []
     for leaf in leaves:
         g = grads.get(id(leaf))
         if g is None:
-            unreached.append(leaf)
             g = np.zeros(leaf.shape, dtype=leaf.dtype)
         else:
             _finite_or_raise(g, "gradient accumulation")
-        pairs.append((leaf, Tensor(np.ascontiguousarray(g, dtype=leaf.dtype))))
-    return GradientSet(pairs, unreached)
+        result.append(Tensor(np.ascontiguousarray(g, dtype=leaf.dtype)))
+    return result
 
 
 def verify_replay(tape: Tape) -> None:

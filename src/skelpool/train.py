@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, to_arrays
 from .model import Model
-from .tensor import GradientSet, Parameter, Tape, gradients
+from .tensor import Parameter, Tape, Tensor, gradients
 
 cross_entropy = T.cross_entropy
 
@@ -57,6 +57,9 @@ class TrainConfig:
             raise ValueError("rotate_max must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        stop = self.early_stop_train_acc
+        if stop is not None and not 0 < stop <= 1:
+            raise ValueError(f"early_stop_train_acc must be None or lie in (0, 1], not {stop}")
         return self
 
 
@@ -70,30 +73,20 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.base_lr * config.decay_factor ** drops
 
 
-class OptimizerState:
-    """Per-parameter velocity buffers, zero-initialized on first use."""
+def sgd_nesterov_step(params: list[Parameter], grads: list[Tensor],
+                      velocities: list[np.ndarray], lr: float, momentum: float,
+                      weight_decay: float) -> None:
+    """g <- grad + wd*param; v <- momentum*v + g; param <- param - lr*(g + momentum*v).
 
-    def __init__(self):
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def velocity(self, param: Parameter) -> np.ndarray:
-        buf = self._velocity.get(id(param))
-        if buf is None:
-            buf = np.zeros_like(param.data)
-            self._velocity[id(param)] = buf
-        return buf
-
-
-def sgd_nesterov_step(params: list[Parameter], grads: GradientSet, state: OptimizerState,
-                      lr: float, momentum: float, weight_decay: float) -> None:
-    """g <- grad + wd*param; v <- momentum*v + g; param <- param - lr*(g + momentum*v)."""
-    for p in params:
-        g = grads[p].data
+    `grads` and `velocities` hold one entry per parameter, in the order of
+    `params`; each velocity is updated in place.
+    """
+    for p, grad, v in zip(params, grads, velocities, strict=True):
+        g = grad.data
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if weight_decay and p.decay:
             g = g + weight_decay * p.data
-        v = state.velocity(p)
         v *= momentum
         v += g
         p.assign(p.data - lr * (g + momentum * v))
@@ -189,7 +182,7 @@ def train_loop(model: Model, train_set: Dataset, config: TrainConfig,
         xe, ye, _ = to_arrays(eval_set, dtype=model.dtype)
 
     params = [p for _, p in model.named_parameters()]
-    state = OptimizerState()
+    velocities = [np.zeros_like(p.data) for p in params]
     rng = np.random.default_rng(config.seed)
     metrics: list[EpochMetrics] = []
 
@@ -208,7 +201,7 @@ def train_loop(model: Model, train_set: Dataset, config: TrainConfig,
                 logits = model.forward(xb, train=True)
                 loss = cross_entropy(logits, yb)
             grads = gradients(tape, loss, params)
-            sgd_nesterov_step(params, grads, state, lr, config.momentum,
+            sgd_nesterov_step(params, grads, velocities, lr, config.momentum,
                               config.weight_decay)
             losses.append(loss.item())
             correct += int((np.argmax(logits.data, axis=1) == yb).sum())

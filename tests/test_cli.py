@@ -283,7 +283,11 @@ def test_malformed_config_exits_with_message(workdir, tmp_path, capsys, command,
                                    ["train", "--lr", "inf"],
                                    ["train", "--weight-decay", "inf"],
                                    ["train", "--seed", "-1"],
-                                   ["train", "--model-seed", "-1"]])
+                                   ["train", "--model-seed", "-1"],
+                                   ["train", "--early-stop", "2"],
+                                   ["train", "--early-stop", "nan"],
+                                   ["train", "--early-stop", "0"],
+                                   ["train", "--early-stop", "-1"]])
 def test_zero_or_empty_flag_reaches_validation(workdir, tmp_path, capsys, flags):
     out = tmp_path / "run"
     if flags[0] == "train":  # the flag under test comes last, so it overrides FAST_TRAIN
@@ -877,6 +881,16 @@ def test_synth_noise_that_is_negative_or_not_finite_exits_2(tmp_path, capsys, no
         f"error: noise must be a finite non-negative number, not {float(noise)}\n")
     assert not (tmp_path / "d.skds").exists()
     assert main(argv + ["--noise", "0"]) == 0
+
+
+def test_synth_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    argv = ["synth", "--classes", "2", "--per-class", "1", "--frames", "4",
+            "--topology", "uwa15", "--out", str(tmp_path / "d.skds")]
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be >= 0, not -1\n"
+    assert not (tmp_path / "d.skds").exists()
+    assert main(argv + ["--seed", "0"]) == 0
 
 
 def test_readme_commands_parse(capsys):

@@ -71,14 +71,14 @@ class TestSpatialGraphConv:
             loss = T.tsum(T.mul(out, Tensor(r)))
         record = [e.op for e in tape.entries[:2]]
         assert record == (["matmul", "conv1x1"] if c_in < c_out else ["conv1x1", "matmul"])
-        gs = T.gradients(tape, loss, [x, w, adj])
+        gx, gw, gadj = T.gradients(tape, loss, [x, w, adj])
         xd, wd, ad = (t.data.astype(np.float64) for t in (x, w, adj))
         tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-10,
                                                                           atol=1e-10)
         np.testing.assert_allclose(out.data, np.einsum("bctn,co,nm->botm", xd, wd, ad), **tol)
-        np.testing.assert_allclose(gs[x].data, np.einsum("botm,co,nm->bctn", r, wd, ad), **tol)
-        np.testing.assert_allclose(gs[w].data, np.einsum("bctn,nm,botm->co", xd, ad, r), **tol)
-        np.testing.assert_allclose(gs[adj].data, np.einsum("bctn,co,botm->nm", xd, wd, r),
+        np.testing.assert_allclose(gx.data, np.einsum("botm,co,nm->bctn", r, wd, ad), **tol)
+        np.testing.assert_allclose(gw.data, np.einsum("bctn,nm,botm->co", xd, ad, r), **tol)
+        np.testing.assert_allclose(gadj.data, np.einsum("bctn,co,botm->nm", xd, wd, r),
                                    **tol)
 
 

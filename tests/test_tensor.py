@@ -21,16 +21,16 @@ def test_square_gradient_is_two_x():
     x = scalar(3.0)
     with Tape() as tape:
         y = T.mul(x, x)
-    gs = gradients(tape, y, [x])
-    assert gs[x].data == pytest.approx(6.0)
+    (gx,) = gradients(tape, y, [x])
+    assert gx.data == pytest.approx(6.0)
 
 
 def test_tanh_gradient_at_zero_is_one():
     x = scalar(0.0)
     with Tape() as tape:
         y = T.tanh(x)
-    gs = gradients(tape, y, [x])
-    assert gs[x].data == pytest.approx(1.0)
+    (gx,) = gradients(tape, y, [x])
+    assert gx.data == pytest.approx(1.0)
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -39,10 +39,9 @@ def test_matmul_gradients_match_finite_differences():
     b = Tensor(rng.standard_normal((3, 2)))
     with Tape() as tape:
         out = T.tsum(T.matmul(a, b))
-    gs = gradients(tape, out, [a, b])
-    for leaf in (a, b):
+    for leaf, grad in zip((a, b), gradients(tape, out, [a, b])):
         fd = _fd_on_leaf(lambda: T.tsum(T.matmul(a, b)), leaf, eps=1e-5)
-        rel = np.abs(gs[leaf].data - fd) / np.maximum(1.0, np.abs(fd))
+        rel = np.abs(grad.data - fd) / np.maximum(1.0, np.abs(fd))
         assert rel.max() <= 1e-6
 
 
@@ -66,9 +65,9 @@ class TestConcatChannels:
         b = Tensor(np.random.default_rng(4).standard_normal((2, 2, 2, 2)))
         with Tape() as tape:
             out = T.tsum(T.concat_channels(a, b))
-        gs = gradients(tape, out, [a, b])
-        assert np.array_equal(gs[a].data, np.ones_like(a.data))
-        assert np.array_equal(gs[b].data, np.ones_like(b.data))
+        ga, gb = gradients(tape, out, [a, b])
+        assert np.array_equal(ga.data, np.ones_like(a.data))
+        assert np.array_equal(gb.data, np.ones_like(b.data))
 
     def test_non_channel_mismatch_rejected(self):
         a = Tensor(np.zeros((2, 3, 2, 2)))
@@ -122,10 +121,22 @@ def test_unreachable_leaf_gets_flagged_zero_gradient():
     x, other = scalar(2.0), Tensor(np.ones((3,)))
     with Tape() as tape:
         y = T.mul(x, x)
-    gs = gradients(tape, y, [x, other])
-    assert other in gs and np.array_equal(gs[other].data, np.zeros(3))
-    assert gs.unreached == [other]
-    assert gs[x].data == pytest.approx(4.0)
+    gx, gother = gradients(tape, y, [x, other])
+    assert np.array_equal(gother.data, np.zeros(3))
+    assert gx.data == pytest.approx(4.0)
+
+
+def test_gradients_come_back_in_the_requested_order():
+    x = Tensor(np.array([1.0, 2.0, 3.0]))
+    w = Tensor(np.array([-2.0, 0.5, 4.0]))
+    for order in ([w, x], [x, w]):
+        with Tape() as tape:
+            out = T.tsum(T.mul(x, w))  # recorded with x first
+        got = gradients(tape, out, order)
+        # d/dx sum(x*w) = w and d/dw = x: each leaf's gradient is the other leaf
+        want = [w.data if leaf is x else x.data for leaf in order]
+        for g, expected in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g.data, expected)
 
 
 def test_duplicate_leaf_rejected():
@@ -182,6 +193,14 @@ def test_pair_avg_time_examples():
     assert np.array_equal(T.pair_avg_time(x).data.ravel(), [2.0, 6.0])
     single = Tensor(np.array([4.0]).reshape(1, 1, 1, 1))
     assert np.array_equal(T.pair_avg_time(single).data, single.data)
+    # backward at odd frame counts: a pair halves its gradient between its two
+    # frames, and the trailing frame takes its own whole
+    for upstream, want in (([5.0], [5.0]), ([2.0, 5.0], [1.0, 1.0, 5.0])):
+        x = Tensor(np.zeros((1, 1, len(want), 1)))
+        with Tape() as tape:
+            out = T.tsum(T.mul(T.pair_avg_time(x), Tensor(np.reshape(upstream, (1, 1, -1, 1)))))
+        (gx,) = gradients(tape, out, [x])
+        assert np.array_equal(gx.data.ravel(), want)
 
 
 def test_tapes_do_not_nest():
@@ -274,7 +293,7 @@ def test_large_finite_values_raise_no_numpy_warning():
         assert np.array_equal(T.scale(w, 1.0).data, w.data)
         with Tape() as tape:
             out = T.tsum(T.mul(x, w))
-        assert np.array_equal(gradients(tape, out, [x])[x].data, w.data)
+        assert np.array_equal(gradients(tape, out, [x])[0].data, w.data)
 
 
 def test_gradient_accumulation_check_confirms_before_raising():
@@ -284,7 +303,7 @@ def test_gradient_accumulation_check_confirms_before_raising():
         with Tape() as tape:
             once = T.tsum(T.mul(x, w))
         # finite gradient elements whose sum overflows
-        assert np.array_equal(gradients(tape, once, [x])[x].data, w.data)
+        assert np.array_equal(gradients(tape, once, [x])[0].data, w.data)
         with Tape() as tape:
             twice = T.add(T.tsum(T.mul(x, w)), T.tsum(T.mul(x, w)))
         # accumulating two 3e38 contributions overflows each element
@@ -309,8 +328,7 @@ def _fwd_and_grads(op, inputs, seed):
         out = op(*inputs)
         r = Tensor(np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype))
         loss = T.tsum(T.mul(out, r))
-    gs = gradients(tape, loss, inputs)
-    return out.data, r.data, [gs[t].data for t in inputs]
+    return out.data, r.data, [g.data for g in gradients(tape, loss, inputs)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -459,9 +477,9 @@ def test_fan_out_accumulation_leaves_shared_gradients_intact():
         p = T.scale(y, 3.0)
         s = T.add(x, y)
         loss = T.tsum(T.add(T.add(s, p), q))
-    gs = gradients(tape, loss, [x, y])
-    np.testing.assert_array_equal(gs[x].data, [1.0, 1.0])
-    np.testing.assert_array_equal(gs[y].data, [6.0, 6.0])
+    gx, gy = gradients(tape, loss, [x, y])
+    np.testing.assert_array_equal(gx.data, [1.0, 1.0])
+    np.testing.assert_array_equal(gy.data, [6.0, 6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +495,9 @@ def test_gradients_free_intermediate_arrays_while_the_tape_lives():
     arrays = [weakref.ref(h.data), weakref.ref(const.data)]
     del h, const
     assert all(ref() is not None for ref in arrays)
-    gs = gradients(tape, loss, [x])
+    (gx,) = gradients(tape, loss, [x])
     assert all(ref() is None for ref in arrays)
-    np.testing.assert_allclose(gs[x].data, 2.0 * (1.0 - np.tanh(x.data) ** 2))
+    np.testing.assert_allclose(gx.data, 2.0 * (1.0 - np.tanh(x.data) ** 2))
     assert tape.spent and len(tape) == 3
     assert [e.op for e in tape.entries] == ["tanh", "mul", "sum"]
     assert all(e.inputs is e.output is e.forward is e.backward is None for e in tape.entries)

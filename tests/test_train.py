@@ -8,10 +8,9 @@ import pytest
 from skelpool import model as M
 from skelpool.data import synth_generate, to_arrays
 from skelpool.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from skelpool.tensor import (GradientSet, NonFiniteError, Parameter, Tape, Tensor,
-                             gradients)
-from skelpool.train import (EpochMetrics, OptimizerState, TrainConfig, cross_entropy,
-                            evaluate, lr_at, predict_scores, random_rotate, rotation_matrix,
+from skelpool.tensor import NonFiniteError, Parameter, Tape, Tensor, gradients
+from skelpool.train import (EpochMetrics, TrainConfig, cross_entropy, evaluate, lr_at,
+                            predict_scores, random_rotate, rotation_matrix,
                             sgd_nesterov_step, train_loop, write_metrics)
 
 RECIPE = TrainConfig()  # recipe defaults: 65 epochs, warmup 5, decay at 35/55
@@ -39,7 +38,7 @@ class TestCrossEntropy:
         labels = rng.integers(0, 6, size=4)
         with Tape() as tape:
             loss = cross_entropy(logits, labels)
-        g = gradients(tape, loss, [logits])[logits].data
+        g = gradients(tape, loss, [logits])[0].data
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(4), labels] -= 1
@@ -74,13 +73,13 @@ class TestSchedule:
 
 
 class TestSgdNesterov:
-    def step(self, param, grad, state, lr=0.1, momentum=0.9, wd=0.0):
-        grads = GradientSet([(param, Tensor(np.asarray(grad, dtype=np.float64)))], [])
-        sgd_nesterov_step([param], grads, state, lr, momentum, wd)
+    def step(self, param, grad, velocities, lr=0.1, momentum=0.9, wd=0.0):
+        grads = [Tensor(np.asarray(grad, dtype=np.float64))]
+        sgd_nesterov_step([param], grads, velocities, lr, momentum, wd)
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Parameter(np.array([1.0, -2.0]))
-        self.step(p, [0.0, 0.0], OptimizerState())
+        self.step(p, [0.0, 0.0], [np.zeros_like(p.data)])
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_two_step_trajectory_of_stated_recurrence(self):
@@ -88,26 +87,26 @@ class TestSgdNesterov:
         # step 1: v=1,   update=1+0.9*1=1.9,    delta=-0.19
         # step 2: v=1.9, update=1+0.9*1.9=2.71, delta=-0.271
         p = Parameter(np.array([0.0]))
-        state = OptimizerState()
-        self.step(p, [1.0], state)
+        velocities = [np.zeros_like(p.data)]
+        self.step(p, [1.0], velocities)
         assert p.data[0] == pytest.approx(-0.19, abs=1e-12)
-        self.step(p, [1.0], state)
+        self.step(p, [1.0], velocities)
         assert p.data[0] == pytest.approx(-0.19 - 0.271, abs=1e-12)
 
     def test_weight_decay_only_is_geometric_without_momentum(self):
         p = Parameter(np.array([2.0]))
-        state = OptimizerState()
+        velocities = [np.zeros_like(p.data)]
         lr, wd = 0.1, 0.5
         for k in range(1, 6):
-            self.step(p, [0.0], state, lr=lr, momentum=0.0, wd=wd)
+            self.step(p, [0.0], velocities, lr=lr, momentum=0.0, wd=wd)
             assert p.data[0] == pytest.approx(2.0 * (1 - lr * wd) ** k, rel=1e-12)
 
     def test_weight_decay_with_momentum_matches_reference_loop(self):
         p = Parameter(np.array([1.5]))
-        state = OptimizerState()
+        velocities = [np.zeros_like(p.data)]
         ref, v = 1.5, 0.0
         for _ in range(4):
-            self.step(p, [0.0], state, lr=0.05, momentum=0.9, wd=0.3)
+            self.step(p, [0.0], velocities, lr=0.05, momentum=0.9, wd=0.3)
             g = 0.3 * ref
             v = 0.9 * v + g
             ref = ref - 0.05 * (g + 0.9 * v)
@@ -115,18 +114,23 @@ class TestSgdNesterov:
 
     def test_norm_parameters_skip_weight_decay(self):
         gamma = Parameter(np.array([1.0]), decay=False)
-        self.step(gamma, [0.0], OptimizerState(), wd=0.5)
+        self.step(gamma, [0.0], [np.zeros(1)], wd=0.5)
         assert gamma.data[0] == 1.0
 
     def test_zero_learning_rate_is_identity(self):
         p = Parameter(np.array([3.0, -1.0]))
-        self.step(p, [5.0, -2.0], OptimizerState(), lr=0.0)
+        self.step(p, [5.0, -2.0], [np.zeros_like(p.data)], lr=0.0)
         assert np.array_equal(p.data, [3.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
         p = Parameter(np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            self.step(p, [1.0, 1.0], OptimizerState())
+            self.step(p, [1.0, 1.0], [np.zeros_like(p.data)])
+
+    def test_one_velocity_per_parameter_required(self):
+        p = Parameter(np.zeros(2))
+        with pytest.raises(ValueError):
+            self.step(p, [1.0, 1.0], [])
 
 
 class TestRandomRotate:
